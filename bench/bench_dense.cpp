@@ -1,8 +1,9 @@
 /// \file bench_dense.cpp
 /// \brief Google-benchmark microbenchmarks of the dense substrate (the
 /// reproduction's MKL stand-in): GEMM, LU, QR, TRSM, and the FSI building
-/// blocks at DQMC-relevant sizes.  Context for every Gflops number printed
-/// by the figure benches.
+/// blocks at DQMC-relevant sizes (N = 16 and 36 are the 4x4 and 6x6
+/// Hubbard blocks the DQMC workloads run).  Context for every Gflops
+/// number printed by the figure benches.
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +13,8 @@
 #include "fsi/dense/lu.hpp"
 #include "fsi/dense/qr.hpp"
 #include "fsi/obs/telemetry.hpp"
+#include "fsi/pcyclic/adjacency.hpp"
+#include "fsi/sched/workspace_pool.hpp"
 #include "fsi/util/rng.hpp"
 
 namespace {
@@ -39,7 +42,7 @@ void BM_Gemm(benchmark::State& state) {
       2.0 * n * n * n, benchmark::Counter::kIsIterationInvariantRate,
       benchmark::Counter::kIs1000);
 }
-BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
+BENCHMARK(BM_Gemm)->Arg(16)->Arg(36)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
 void BM_GemmTransA(benchmark::State& state) {
   const index_t n = static_cast<index_t>(state.range(0));
@@ -132,6 +135,29 @@ void BM_Ger(benchmark::State& state) {
       benchmark::Counter::kIs1000);
 }
 BENCHMARK(BM_Ger)->Arg(400);
+
+void BM_AdjacencyMove(benchmark::State& state) {
+  // One WRP step, G(k-1, l) = B_k^-1 G(k, l) (up) or G(k+1, l) = B_{k+1}
+  // G(k, l) (down), from a generic off-diagonal position; outputs go back
+  // to the workspace pool as the FSI walks do.
+  const index_t n = static_cast<index_t>(state.range(0));
+  const bool up = state.range(1) == 0;
+  util::Rng rng(11);
+  const pcyclic::PCyclicMatrix m = pcyclic::PCyclicMatrix::random(n, 8, rng);
+  const pcyclic::BlockOps ops(m);
+  const Matrix g = random_square(n, 12);
+  for (auto _ : state) {
+    Matrix out = up ? ops.up(3, 5, g) : ops.down(3, 5, g);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    sched::recycle(std::move(out));
+  }
+  state.SetLabel(up ? "up" : "down");
+  state.counters["GFLOPS"] = benchmark::Counter(
+      2.0 * n * n * n, benchmark::Counter::kIsIterationInvariantRate,
+      benchmark::Counter::kIs1000);
+}
+BENCHMARK(BM_AdjacencyMove)->ArgsProduct({{16, 36}, {0, 1}});
 
 }  // namespace
 

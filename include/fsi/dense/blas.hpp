@@ -5,8 +5,9 @@
 /// The paper's FSI implementation is built on Level-3 BLAS ("The main
 /// operations of the FSI algorithm are Level-3 BLAS operations, such as
 /// DGEMM").  No BLAS is installed in this environment, so these kernels are
-/// implemented from scratch: gemm uses a packed, register-blocked
-/// micro-kernel with OpenMP worksharing; trsm/trtri are recursive blocked
+/// implemented in this library: gemm packs its operands and runs one
+/// register-blocked micro-kernel at every size, OpenMP-workshared only
+/// above kParallelFlopThreshold; trsm/trtri are recursive blocked
 /// algorithms that funnel their flops into gemm.  Every kernel credits its
 /// textbook operation count to fsi::util::flops so benches can report Gflops
 /// the same way the paper does.
@@ -133,8 +134,10 @@ inline void trtri(Uplo uplo, Diag diag, MatrixViewF a) {
   trtri<float>(uplo, diag, a);
 }
 
-/// Threshold (in flops) below which kernels stay single-threaded.  Exposed so
-/// benches/tests can exercise both paths.
+/// Threshold (in flops) below which gemm stays single-threaded: it then
+/// runs the same packed micro-kernel without opening an OpenMP region.
+/// It only decides whether to thread.  Exposed so benches/tests can
+/// exercise both.
 inline constexpr std::size_t kParallelFlopThreshold = 1u << 21;
 
 }  // namespace fsi::dense

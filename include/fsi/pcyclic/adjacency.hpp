@@ -4,7 +4,7 @@
 /// blocks (Eqs. 4–7 of the paper) — the engine of the FSI wrapping stage.
 ///
 /// Once any block G(k, l) is known, its four neighbours follow from one
-/// N x N matrix product or solve:
+/// N x N matrix product:
 ///   up    : G(k-1, l) = B_k^-1 G(k, l)
 ///   down  : G(k+1, l) = B_{k+1} G(k, l)
 ///   left  : G(k, l-1) = G(k, l) B_l
@@ -13,80 +13,66 @@
 /// first column / last column / corners) spelled out in the paper and
 /// re-derived in 0-based torus indexing in the implementation.
 ///
-/// BlockOps pre-factors every B block once (LU) so that the solve-based
-/// moves (up/right) are plain triangular solves; all moves are `const` and
-/// safe to call concurrently from OpenMP threads, which is how the wrapping
-/// stage parallelises over seeds.
+/// BlockOps inverts every B block once (LU, then the explicit inverse) and
+/// keeps only the inverses, so all four moves are one GEMM each; all moves
+/// are `const` and safe to call concurrently from OpenMP threads, which is
+/// how the wrapping stage parallelises over seeds.
 
-#include <memory>
 #include <vector>
 
-#include "fsi/dense/lu.hpp"
 #include "fsi/pcyclic/pcyclic.hpp"
 
 namespace fsi::pcyclic {
 
-/// Per-matrix context for adjacency moves: holds the B blocks plus their LU
-/// factorisations.
-class BlockOps {
+/// Per-matrix context for adjacency moves at scalar \p T: the B blocks
+/// (the matrix's own for double, demoted copies for float) and their
+/// inverses.  Indexing always goes through the referenced fp64 matrix, so
+/// wrap arithmetic and bounds are shared by both widths.
+template <typename T>
+class BasicBlockOps {
  public:
-  /// Factor all L blocks (parallelised with OpenMP).
-  explicit BlockOps(const PCyclicMatrix& m);
+  using Block = dense::BasicMatrix<T>;
+  using ConstView = dense::BasicConstMatrixView<T>;
+
+  /// Invert all L blocks (parallelised with OpenMP).  Throws
+  /// util::CheckError when a block is exactly singular.
+  explicit BasicBlockOps(const PCyclicMatrix& m);
 
   const PCyclicMatrix& matrix() const { return m_; }
   index_t block_size() const { return m_.block_size(); }
   index_t num_blocks() const { return m_.num_blocks(); }
+
+  /// B[i] at scalar T.
+  ConstView b(index_t i) const;
+  /// B[i]^-1 at scalar T.
+  ConstView inv(index_t i) const;
 
   /// G(k-1, l) from g = G(k, l)   (Eq. 4, all boundary cases).
-  Matrix up(index_t k, index_t l, ConstMatrixView g) const;
+  Block up(index_t k, index_t l, ConstView g) const;
   /// G(k+1, l) from g = G(k, l)   (Eq. 5).
-  Matrix down(index_t k, index_t l, ConstMatrixView g) const;
+  Block down(index_t k, index_t l, ConstView g) const;
   /// G(k, l-1) from g = G(k, l)   (Eq. 6).
-  Matrix left(index_t k, index_t l, ConstMatrixView g) const;
+  Block left(index_t k, index_t l, ConstView g) const;
   /// G(k, l+1) from g = G(k, l)   (Eq. 7).
-  Matrix right(index_t k, index_t l, ConstMatrixView g) const;
-
-  /// LU factorisation of B[i] (shared by the FSI driver).
-  const dense::LuFactorization& lu(index_t i) const;
+  Block right(index_t k, index_t l, ConstView g) const;
 
  private:
   const PCyclicMatrix& m_;
-  std::vector<std::unique_ptr<dense::LuFactorization>> lu_;
+  std::vector<Block> demoted_;  ///< fp32 copies of the B blocks (float only)
+  std::vector<Block> inv_;
 };
 
-/// fp32 analog of BlockOps for the mixed-precision wrapping stage: owns
-/// demoted copies of the B blocks plus their fp32 LU factorisations, and
-/// implements the same four moves (with the same twelve boundary cases)
-/// on fp32 operands.  Indexing still goes through the referenced fp64
-/// matrix, so wrap arithmetic and bounds are shared with the fp64 path.
-/// Factoring is ~2x cheaper and every move runs at fp32 GEMM/TRSM rates —
-/// the WRP half of the Mixed speedup.  Accuracy is policed downstream by
-/// the selinv mixed gate, not here.
-class BlockOpsF {
- public:
-  /// Demote + factor all L blocks (parallelised with OpenMP).
-  explicit BlockOpsF(const PCyclicMatrix& m);
+extern template class BasicBlockOps<double>;
+extern template class BasicBlockOps<float>;
 
-  const PCyclicMatrix& matrix() const { return m_; }
-  index_t block_size() const { return m_.block_size(); }
-  index_t num_blocks() const { return m_.num_blocks(); }
+/// The fp64 adjacency moves of the default FSI path.
+using BlockOps = BasicBlockOps<double>;
 
-  /// The demoted B[i].
-  dense::ConstMatrixViewF b(index_t i) const;
-
-  /// The four adjacency moves of BlockOps, on fp32 operands.
-  dense::MatrixF up(index_t k, index_t l, dense::ConstMatrixViewF g) const;
-  dense::MatrixF down(index_t k, index_t l, dense::ConstMatrixViewF g) const;
-  dense::MatrixF left(index_t k, index_t l, dense::ConstMatrixViewF g) const;
-  dense::MatrixF right(index_t k, index_t l, dense::ConstMatrixViewF g) const;
-
-  /// fp32 LU factorisation of B[i].
-  const dense::LuFactorizationF& lu(index_t i) const;
-
- private:
-  const PCyclicMatrix& m_;
-  std::vector<dense::MatrixF> bf_;
-  std::vector<std::unique_ptr<dense::LuFactorizationF>> lu_;
-};
+/// fp32 moves for the mixed-precision wrapping stage: the same moves and
+/// boundary cases on demoted B blocks and their fp32 inverses.  Inverting
+/// is ~2x cheaper and every move runs at the fp32 GEMM rate — the WRP half
+/// of the Mixed speedup.  Accuracy is policed downstream by the selinv
+/// mixed gate, not here.
+using BlockOpsF = BasicBlockOps<float>;
 
 }  // namespace fsi::pcyclic

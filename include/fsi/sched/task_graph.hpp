@@ -28,7 +28,7 @@ using NodeId = std::uint32_t;
 /// Stage tag of a node, used to bucket node-latency telemetry and to map
 /// graph-mode FsiStats onto the paper's CLS / BSOFI / WRP decomposition.
 enum class Stage : int {
-  Build = 0,  ///< matrix assembly (HS field -> M, BlockOps factorisation)
+  Build = 0,  ///< matrix assembly (HS field -> M, BlockOps inversion)
   Cls,        ///< one cluster product of the factor-of-c reduction
   Bsofi,      ///< inversion of the reduced b-block p-cyclic matrix
   Wrap,       ///< one seed walk of the wrapping stage

@@ -194,14 +194,14 @@ double reduced_cond1(const pcyclic::PCyclicMatrix& reduced,
 
 /// The full FSI algorithm (paper Alg. 1).  \p rng supplies the random q
 /// when opts.q < 0.  \p stats, when non-null, receives per-stage
-/// times/flops.  Pre-factored \p ops must wrap the same matrix \p m.
+/// times/flops.  Prebuilt \p ops must wrap the same matrix \p m.
 pcyclic::SelectedInversion fsi(const pcyclic::PCyclicMatrix& m,
                                const pcyclic::BlockOps& ops,
                                const FsiOptions& opts, util::Rng& rng,
                                FsiStats* stats = nullptr);
 
 /// Convenience overload that builds the BlockOps internally (its
-/// factorisation time is attributed to the wrapping stage, which is the
+/// inversion time is attributed to the wrapping stage, which is the
 /// only consumer).
 pcyclic::SelectedInversion fsi(const pcyclic::PCyclicMatrix& m,
                                const FsiOptions& opts, util::Rng& rng,

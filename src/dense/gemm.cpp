@@ -1,12 +1,20 @@
 /// \file gemm.cpp
-/// \brief Packed, register-blocked, OpenMP-parallel GEMM (double + float).
+/// \brief Packed, register-blocked GEMM (double + float): one kernel for
+/// every problem size, OpenMP-workshared only above kParallelFlopThreshold.
 ///
 /// Layout follows the classic Goto/BLIS decomposition, simplified to two
 /// levels: the k-dimension is blocked by KC; within a k-block, op(A) is
 /// packed into MR-row panels and op(B) into NR-column panels (zero-padded at
-/// the edges so the micro-kernel always runs a full MR x NR tile).  The
-/// (jr, ir) tile loop is OpenMP-workshared with dynamic scheduling; each
-/// B-panel (KC x NR) stays resident in L2 while A-panels stream through.
+/// the edges so the micro-kernel always runs a full MR x NR tile).  Every
+/// call runs the same packing routines and the same micro-kernel; the flop
+/// count only decides whether the tile loop is threaded.
+///
+/// Serial calls (the N x N blocks of the FSI stages) pack into per-thread
+/// buffers that grow to the largest call seen on the thread and are reused
+/// after that, so they open no OpenMP region and, in steady state, never
+/// touch the allocator.  Threaded calls pack into shared buffers and
+/// workshare the (jr, ir) tile loop with dynamic scheduling; each B-panel
+/// (KC x NR) stays resident in L2 while A-panels stream through.
 ///
 /// Transposition is handled entirely in the packing routines, so there is a
 /// single micro-kernel for all four trans combinations.  The kernel is a
@@ -17,8 +25,6 @@
 #include <algorithm>
 #include <cstring>
 #include <vector>
-
-#include <omp.h>
 
 #include "fsi/dense/blas.hpp"
 #include "fsi/obs/metrics.hpp"
@@ -43,14 +49,17 @@ struct Tile<float> {
   static constexpr index_t kKc = 256;
 };
 
+/// Rows of op(A) a serial call packs at a time (a multiple of both MRs).
+constexpr index_t kMc = 64;
+
 template <typename T>
 inline const T& op_at(BasicConstMatrixView<T> a, Trans t, index_t i,
                       index_t j) {
   return t == Trans::No ? a(i, j) : a(j, i);
 }
 
-/// Pack op(A)(0:m, pc:pc+kc) into MR-row panels: panel ip holds rows
-/// [ip*MR, ip*MR+MR) stored as apack[ip*MR*kc + p*MR + i], zero-padded.
+/// Pack op(A)(ir:ir+MR, pc:pc+kc) as one MR-row panel:
+/// dst[p*MR + i], zero-padded below row m.
 template <typename T>
 void pack_a_panel(BasicConstMatrixView<T> a, Trans ta, index_t pc, index_t kc,
                   index_t ir, index_t m, T* dst) {
@@ -81,43 +90,115 @@ void pack_b_panel(BasicConstMatrixView<T> b, Trans tb, index_t pc, index_t kc,
   }
 }
 
-/// acc := sum_p apanel(:,p) * bpanel(p,:)^T over the kc-long panels.
+/// C(ir:ir+MR, jr:jr+NR) += alpha * apanel * bpanel over the kc-long packed
+/// panels, clipped to C's edges.  The MR x NR accumulator tile is a local,
+/// so it stays in registers for the whole k loop and C is touched once.
 template <typename T>
 inline void micro_kernel(const T* __restrict ap, const T* __restrict bp,
-                         index_t kc, T* __restrict acc) {
+                         index_t kc, T alpha, BasicMatrixView<T> c, index_t ir,
+                         index_t jr) {
   constexpr index_t kMr = Tile<T>::kMr;
   constexpr index_t kNr = Tile<T>::kNr;
-  for (index_t j = 0; j < kNr * kMr; ++j) acc[j] = T(0);
+  T acc[kNr][kMr] = {};
   for (index_t p = 0; p < kc; ++p) {
     const T* a = ap + static_cast<std::size_t>(p) * kMr;
     const T* b = bp + static_cast<std::size_t>(p) * kNr;
     for (index_t j = 0; j < kNr; ++j) {
       const T bj = b[j];
-      T* accj = acc + j * kMr;
 #pragma omp simd
-      for (index_t i = 0; i < kMr; ++i) accj[i] += a[i] * bj;
+      for (index_t i = 0; i < kMr; ++i) acc[j][i] += a[i] * bj;
+    }
+  }
+  const index_t mr = std::min(kMr, c.rows() - ir);
+  const index_t nr = std::min(kNr, c.cols() - jr);
+  for (index_t j = 0; j < nr; ++j) {
+    T* cj = c.col(jr + j) + ir;
+    for (index_t i = 0; i < mr; ++i) cj[i] += alpha * acc[j][i];
+  }
+}
+
+/// Grow \p buf to at least \p size elements and return its storage.
+template <typename T>
+T* reserve(std::vector<T>& buf, std::size_t size) {
+  if (buf.size() < size) buf.resize(size);
+  return buf.data();
+}
+
+/// Single-threaded tiles: op(A) is packed MC rows at a time, op(B) one NR
+/// panel at a time, into this thread's buffers.  Both are sized to the
+/// call's kc, so small calls keep small buffers, and MC caps the A buffer
+/// however tall the call.
+template <typename T>
+void gemm_serial(Trans ta, Trans tb, T alpha, BasicConstMatrixView<T> a,
+                 BasicConstMatrixView<T> b, BasicMatrixView<T> c, index_t k) {
+  constexpr index_t kMr = Tile<T>::kMr;
+  constexpr index_t kNr = Tile<T>::kNr;
+  constexpr index_t kKc = Tile<T>::kKc;
+  const index_t m = c.rows();
+  const index_t n = c.cols();
+  const std::size_t kc_max = static_cast<std::size_t>(std::min(kKc, k));
+  const std::size_t mc_max = static_cast<std::size_t>(std::min(kMc, m));
+  thread_local std::vector<T> apack_buf, bpack_buf;
+  T* apack = reserve(apack_buf, (mc_max + kMr - 1) / kMr * kMr * kc_max);
+  T* bpack = reserve(bpack_buf, static_cast<std::size_t>(kNr) * kc_max);
+
+  for (index_t pc = 0; pc < k; pc += kKc) {
+    const index_t kc = std::min(kKc, k - pc);
+    for (index_t ic = 0; ic < m; ic += kMc) {
+      const index_t mtiles = (std::min(kMc, m - ic) + kMr - 1) / kMr;
+      for (index_t it = 0; it < mtiles; ++it)
+        pack_a_panel(a, ta, pc, kc, ic + it * kMr, m,
+                     apack + static_cast<std::size_t>(it) * kMr * kc);
+      for (index_t jr = 0; jr < n; jr += kNr) {
+        pack_b_panel(b, tb, pc, kc, jr, n, bpack);
+        for (index_t it = 0; it < mtiles; ++it)
+          micro_kernel(apack + static_cast<std::size_t>(it) * kMr * kc, bpack,
+                       kc, alpha, c, ic + it * kMr, jr);
+      }
     }
   }
 }
 
-/// Reference path for small problems: no packing, no threading.
+/// OpenMP-workshared tiles: every op(A) and op(B) panel of a k-block is
+/// packed into shared buffers, then the (jr, ir) tiles are dealt out.
 template <typename T>
-void gemm_small(Trans ta, Trans tb, T alpha, BasicConstMatrixView<T> a,
-                BasicConstMatrixView<T> b, BasicMatrixView<T> c) {
-  const index_t m = c.rows(), n = c.cols();
-  const index_t k = (ta == Trans::No) ? a.cols() : a.rows();
-  for (index_t j = 0; j < n; ++j) {
-    T* cj = c.col(j);
-    for (index_t p = 0; p < k; ++p) {
-      const T bpj = alpha * op_at(b, tb, p, j);
-      if (bpj == T(0)) continue;
-      if (ta == Trans::No) {
-        const T* apcol = a.col(p);
-#pragma omp simd
-        for (index_t i = 0; i < m; ++i) cj[i] += apcol[i] * bpj;
-      } else {
-        for (index_t i = 0; i < m; ++i) cj[i] += a(p, i) * bpj;
+void gemm_parallel(Trans ta, Trans tb, T alpha, BasicConstMatrixView<T> a,
+                   BasicConstMatrixView<T> b, BasicMatrixView<T> c,
+                   index_t k) {
+  constexpr index_t kMr = Tile<T>::kMr;
+  constexpr index_t kNr = Tile<T>::kNr;
+  constexpr index_t kKc = Tile<T>::kKc;
+  const index_t m = c.rows();
+  const index_t n = c.cols();
+  const index_t mtiles = (m + kMr - 1) / kMr;
+  const index_t ntiles = (n + kNr - 1) / kNr;
+  std::vector<T> apack(static_cast<std::size_t>(mtiles) * kMr * kKc);
+  std::vector<T> bpack(static_cast<std::size_t>(ntiles) * kNr * kKc);
+
+#pragma omp parallel
+  {
+    for (index_t pc = 0; pc < k; pc += kKc) {
+      const index_t kc = std::min(kKc, k - pc);
+
+#pragma omp for nowait
+      for (index_t it = 0; it < mtiles; ++it)
+        pack_a_panel(a, ta, pc, kc, it * kMr, m,
+                     apack.data() + static_cast<std::size_t>(it) * kMr * kc);
+#pragma omp for
+      for (index_t jt = 0; jt < ntiles; ++jt)
+        pack_b_panel(b, tb, pc, kc, jt * kNr, n,
+                     bpack.data() + static_cast<std::size_t>(jt) * kNr * kc);
+      // implicit barrier: packing complete before tiles are consumed
+
+#pragma omp for collapse(2) schedule(dynamic, 4)
+      for (index_t jt = 0; jt < ntiles; ++jt) {
+        for (index_t it = 0; it < mtiles; ++it) {
+          micro_kernel(apack.data() + static_cast<std::size_t>(it) * kMr * kc,
+                       bpack.data() + static_cast<std::size_t>(jt) * kNr * kc,
+                       kc, alpha, c, it * kMr, jt * kNr);
+        }
       }
+      // implicit barrier: C tile updates complete before packs are reused
     }
   }
 }
@@ -127,9 +208,6 @@ void gemm_small(Trans ta, Trans tb, T alpha, BasicConstMatrixView<T> a,
 template <typename T>
 void gemm(Trans ta, Trans tb, T alpha, BasicConstMatrixView<T> a,
           BasicConstMatrixView<T> b, T beta, BasicMatrixView<T> c) {
-  constexpr index_t kMr = Tile<T>::kMr;
-  constexpr index_t kNr = Tile<T>::kNr;
-  constexpr index_t kKc = Tile<T>::kKc;
   const index_t m = c.rows();
   const index_t n = c.cols();
   const index_t k = (ta == Trans::No) ? a.cols() : a.rows();
@@ -158,49 +236,10 @@ void gemm(Trans ta, Trans tb, T alpha, BasicConstMatrixView<T> a,
                                  static_cast<std::uint64_t>(k) * n +
                                  2ull * m * n));
 
-  if (work < kParallelFlopThreshold) {
-    gemm_small(ta, tb, alpha, a, b, c);
-    return;
-  }
-
-  const index_t mtiles = (m + kMr - 1) / kMr;
-  const index_t ntiles = (n + kNr - 1) / kNr;
-  std::vector<T> apack(static_cast<std::size_t>(mtiles) * kMr * kKc);
-  std::vector<T> bpack(static_cast<std::size_t>(ntiles) * kNr * kKc);
-
-#pragma omp parallel
-  {
-    alignas(64) T acc[kMr * kNr];
-    for (index_t pc = 0; pc < k; pc += kKc) {
-      const index_t kc = std::min(kKc, k - pc);
-
-#pragma omp for nowait
-      for (index_t it = 0; it < mtiles; ++it)
-        pack_a_panel(a, ta, pc, kc, it * kMr, m,
-                     apack.data() + static_cast<std::size_t>(it) * kMr * kc);
-#pragma omp for
-      for (index_t jt = 0; jt < ntiles; ++jt)
-        pack_b_panel(b, tb, pc, kc, jt * kNr, n,
-                     bpack.data() + static_cast<std::size_t>(jt) * kNr * kc);
-      // implicit barrier: packing complete before tiles are consumed
-
-#pragma omp for collapse(2) schedule(dynamic, 4)
-      for (index_t jt = 0; jt < ntiles; ++jt) {
-        for (index_t it = 0; it < mtiles; ++it) {
-          micro_kernel(apack.data() + static_cast<std::size_t>(it) * kMr * kc,
-                       bpack.data() + static_cast<std::size_t>(jt) * kNr * kc, kc, acc);
-          const index_t ir = it * kMr, jr = jt * kNr;
-          const index_t mr = std::min(kMr, m - ir), nr = std::min(kNr, n - jr);
-          for (index_t j = 0; j < nr; ++j) {
-            T* cj = c.col(jr + j) + ir;
-            const T* accj = acc + j * kMr;
-            for (index_t i = 0; i < mr; ++i) cj[i] += alpha * accj[i];
-          }
-        }
-      }
-      // implicit barrier: C tile updates complete before packs are reused
-    }
-  }
+  if (work < kParallelFlopThreshold)
+    gemm_serial(ta, tb, alpha, a, b, c, k);
+  else
+    gemm_parallel(ta, tb, alpha, a, b, c, k);
 }
 
 template void gemm<double>(Trans, Trans, double, ConstMatrixView,

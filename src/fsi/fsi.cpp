@@ -727,7 +727,7 @@ bool fsi_mixed_attempt(const PCyclicMatrix& m,
     return false;
   }
 
-  {  // Stage 3: WRP in fp32 (BlockOpsF demote+factor is wrap work, like
+  {  // Stage 3: WRP in fp32 (BlockOpsF demote+invert is wrap work, like
      // the fp64 convenience overload attributes BlockOps).
     StageMeter meter("fsi.wrap", stats.seconds_wrap, stats.flops_wrap);
     const pcyclic::BlockOpsF opsf(m);
@@ -852,7 +852,7 @@ SelectedInversion fsi(const PCyclicMatrix& m, const FsiOptions& opts,
 
   FsiStats local;
 
-  // BlockOps factorisation feeds only the wrapping moves; attribute it there.
+  // BlockOps inversion feeds only the wrapping moves; attribute it there.
   double ops_seconds = 0.0;
   std::uint64_t ops_f = 0;
   std::unique_ptr<pcyclic::BlockOps> ops;

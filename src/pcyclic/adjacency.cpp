@@ -1,42 +1,68 @@
 #include "fsi/pcyclic/adjacency.hpp"
 
 #include <exception>
-
-#include <omp.h>
+#include <type_traits>
 
 #include "fsi/dense/blas.hpp"
+#include "fsi/dense/lu.hpp"
 #include "fsi/sched/workspace_pool.hpp"
 
 namespace fsi::pcyclic {
 namespace {
 
-/// g - I (g must be square).  Pool-backed: adjacency moves run thousands of
-/// times per batched FSI call, so their workspaces recycle.
-Matrix minus_identity(ConstMatrixView g) {
-  Matrix out = sched::acquire_copy(g);
-  for (index_t d = 0; d < out.rows(); ++d) out(d, d) -= 1.0;
+// Adjacency moves run thousands of times per batched FSI call, so their
+// outputs and temporaries come from (and go back to) the workspace pool.
+
+template <typename T>
+dense::BasicMatrix<T> acquire_block(index_t n) {
+  if constexpr (std::is_same_v<T, float>)
+    return sched::acquire_f(n, n);
+  else
+    return sched::acquire(n, n);
+}
+
+/// g - I (g must be square).
+template <typename T>
+dense::BasicMatrix<T> minus_identity(dense::BasicConstMatrixView<T> g) {
+  dense::BasicMatrix<T> out;
+  if constexpr (std::is_same_v<T, float>)
+    out = sched::acquire_copy_f(g);
+  else
+    out = sched::acquire_copy(g);
+  for (index_t d = 0; d < out.rows(); ++d) out(d, d) -= T(1);
   return out;
 }
 
-dense::MatrixF minus_identity(dense::ConstMatrixViewF g) {
-  dense::MatrixF out = sched::acquire_copy_f(g);
-  for (index_t d = 0; d < out.rows(); ++d) out(d, d) -= 1.0f;
+/// sign * lhs * rhs, plus I when \p plus_identity: the one GEMM each move is.
+template <typename T>
+dense::BasicMatrix<T> product(T sign, dense::BasicConstMatrixView<T> lhs,
+                              dense::BasicConstMatrixView<T> rhs,
+                              bool plus_identity) {
+  dense::BasicMatrix<T> out = acquire_block<T>(lhs.rows());
+  dense::gemm<T>(dense::Trans::No, dense::Trans::No, sign, lhs, rhs, T(0), out);
+  if (plus_identity) {
+    for (index_t d = 0; d < out.rows(); ++d) out(d, d) += T(1);
+  }
   return out;
 }
 
 }  // namespace
 
-BlockOps::BlockOps(const PCyclicMatrix& m) : m_(m) {
-  const index_t l = m.num_blocks();
-  lu_.resize(static_cast<std::size_t>(l));
-  // Factor the L independent B blocks in parallel; exceptions (singular
+template <typename T>
+BasicBlockOps<T>::BasicBlockOps(const PCyclicMatrix& m) : m_(m) {
+  const auto l = static_cast<std::size_t>(m.num_blocks());
+  if constexpr (std::is_same_v<T, float>) demoted_.resize(l);
+  inv_.resize(l);
+  // Invert the L independent B blocks in parallel; exceptions (singular
   // blocks) must not escape the OpenMP region, so stash and rethrow.
   std::exception_ptr error;
 #pragma omp parallel for schedule(dynamic)
-  for (index_t i = 0; i < l; ++i) {
+  for (index_t i = 0; i < m.num_blocks(); ++i) {
     try {
-      lu_[static_cast<std::size_t>(i)] =
-          std::make_unique<dense::LuFactorization>(m.b_matrix(i));
+      const auto s = static_cast<std::size_t>(i);
+      if constexpr (std::is_same_v<T, float>)
+        demoted_[s] = dense::demoted(m.b(i));
+      inv_[s] = dense::inverse(b(i));
     } catch (...) {
 #pragma omp critical
       if (!error) error = std::current_exception();
@@ -45,9 +71,19 @@ BlockOps::BlockOps(const PCyclicMatrix& m) : m_(m) {
   if (error) std::rethrow_exception(error);
 }
 
-const dense::LuFactorization& BlockOps::lu(index_t i) const {
+template <typename T>
+auto BasicBlockOps<T>::b(index_t i) const -> ConstView {
   FSI_CHECK(i >= 0 && i < num_blocks(), "BlockOps: block index out of range");
-  return *lu_[static_cast<std::size_t>(i)];
+  if constexpr (std::is_same_v<T, float>)
+    return demoted_[static_cast<std::size_t>(i)];
+  else
+    return m_.b(i);
+}
+
+template <typename T>
+auto BasicBlockOps<T>::inv(index_t i) const -> ConstView {
+  FSI_CHECK(i >= 0 && i < num_blocks(), "BlockOps: block index out of range");
+  return inv_[static_cast<std::size_t>(i)];
 }
 
 // ---------------------------------------------------------------------------
@@ -57,134 +93,58 @@ const dense::LuFactorization& BlockOps::lu(index_t i) const {
 // 0-based so "first row k=1" becomes k=0 and "last row k=L" becomes k=L-1.
 // ---------------------------------------------------------------------------
 
-Matrix BlockOps::up(index_t k, index_t l, ConstMatrixView g) const {
+template <typename T>
+auto BasicBlockOps<T>::up(index_t k, index_t l, ConstView g) const -> Block {
   //  k != l, k != 0 : G(k-1, l) =  B_k^-1  G(k, l)
   //  k == l != 0    : G(k-1, l) =  B_k^-1 (G(k, k) - I)        [diagonal]
   //  k == 0, l != 0 : G(L-1, l) = -B_0^-1  G(0, l)             [first row]
   //  k == 0, l == 0 : G(L-1, 0) = -B_0^-1 (G(0, 0) - I)        [corner]
-  Matrix rhs = (k == l) ? minus_identity(g) : sched::acquire_copy(g);
-  if (k == 0) dense::scal(-1.0, rhs);
-  lu(k).solve(rhs);
-  return rhs;
+  const T sign = (k == 0) ? T(-1) : T(1);
+  if (k != l) return product<T>(sign, inv(k), g, false);
+  Block shifted = minus_identity(g);
+  Block out = product<T>(sign, inv(k), shifted, false);
+  sched::recycle(std::move(shifted));
+  return out;
 }
 
-Matrix BlockOps::down(index_t k, index_t l, ConstMatrixView g) const {
+template <typename T>
+auto BasicBlockOps<T>::down(index_t k, index_t l, ConstView g) const -> Block {
   //  generic            : G(k+1, l) =  B_{k+1} G(k, l)
   //  k+1 == l (k!=L-1)  : G(l, l)   =  B_l G(l-1, l) + I       [sub-diagonal]
   //  k == L-1, l != 0   : G(0, l)   = -B_0 G(L-1, l)           [last row]
   //  k == L-1, l == 0   : G(0, 0)   = -B_0 G(L-1, 0) + I       [corner]
-  const index_t lmax = num_blocks() - 1;
   const index_t kn = m_.wrap(k + 1);
-  Matrix out = sched::acquire(block_size(), block_size());
-  const double sign = (k == lmax) ? -1.0 : 1.0;
-  dense::gemm(dense::Trans::No, dense::Trans::No, sign, m_.b(kn), g, 0.0, out);
-  if (kn == l) {  // landed on the diagonal (covers the corner case too)
-    for (index_t d = 0; d < block_size(); ++d) out(d, d) += 1.0;
-  }
-  return out;
+  const T sign = (k == num_blocks() - 1) ? T(-1) : T(1);
+  // Landing on the diagonal (kn == l) covers the corner case too.
+  return product<T>(sign, b(kn), g, kn == l);
 }
 
-Matrix BlockOps::left(index_t k, index_t l, ConstMatrixView g) const {
+template <typename T>
+auto BasicBlockOps<T>::left(index_t k, index_t l, ConstView g) const -> Block {
   //  generic            : G(k, l-1) =  G(k, l) B_l
   //  l == k+1 (k!=L-1)  : G(k, k)   =  G(k, k+1) B_{k+1} + I   [sub-diagonal]
   //  l == 0, k != L-1   : G(k, L-1) = -G(k, 0) B_0             [first column]
   //  l == 0, k == L-1   : G(L-1,L-1)= -G(L-1, 0) B_0 + I       [corner]
-  Matrix out = sched::acquire(block_size(), block_size());
-  const double sign = (l == 0) ? -1.0 : 1.0;
-  dense::gemm(dense::Trans::No, dense::Trans::No, sign, g, m_.b(l), 0.0, out);
-  if (m_.wrap(l - 1) == k) {  // landed on the diagonal
-    for (index_t d = 0; d < block_size(); ++d) out(d, d) += 1.0;
-  }
-  return out;
+  const T sign = (l == 0) ? T(-1) : T(1);
+  return product<T>(sign, g, b(l), m_.wrap(l - 1) == k);
 }
 
-Matrix BlockOps::right(index_t k, index_t l, ConstMatrixView g) const {
+template <typename T>
+auto BasicBlockOps<T>::right(index_t k, index_t l, ConstView g) const -> Block {
   //  k != l, l != L-1 : G(k, l+1) =  G(k, l) B_{l+1}^-1
   //  k == l != L-1    : G(k, k+1) = (G(k, k) - I) B_{k+1}^-1   [diagonal]
   //  l == L-1, k != l : G(k, 0)   = -G(k, L-1) B_0^-1          [last column]
   //  k == l == L-1    : G(L-1, 0) = -(G(L-1,L-1) - I) B_0^-1   [corner]
   const index_t ln = m_.wrap(l + 1);
-  Matrix rhs = (k == l) ? minus_identity(g) : sched::acquire_copy(g);
-  if (l == num_blocks() - 1) dense::scal(-1.0, rhs);
-  lu(ln).solve_right(rhs);
-  return rhs;
-}
-
-// ---------------------------------------------------------------------------
-// BlockOpsF — the same moves and boundary-case tables on fp32 operands.
-// Kept in lockstep with BlockOps above; test_fsi_mixed checks every move
-// against its fp64 twin within fp32 tolerance.
-// ---------------------------------------------------------------------------
-
-BlockOpsF::BlockOpsF(const PCyclicMatrix& m) : m_(m) {
-  const index_t l = m.num_blocks();
-  bf_.resize(static_cast<std::size_t>(l));
-  lu_.resize(static_cast<std::size_t>(l));
-  std::exception_ptr error;
-#pragma omp parallel for schedule(dynamic)
-  for (index_t i = 0; i < l; ++i) {
-    try {
-      dense::MatrixF bf = dense::demoted(m.b(i));
-      lu_[static_cast<std::size_t>(i)] =
-          std::make_unique<dense::LuFactorizationF>(dense::MatrixF::copy_of(bf));
-      bf_[static_cast<std::size_t>(i)] = std::move(bf);
-    } catch (...) {
-#pragma omp critical
-      if (!error) error = std::current_exception();
-    }
-  }
-  if (error) std::rethrow_exception(error);
-}
-
-dense::ConstMatrixViewF BlockOpsF::b(index_t i) const {
-  FSI_CHECK(i >= 0 && i < num_blocks(), "BlockOpsF: block index out of range");
-  return bf_[static_cast<std::size_t>(i)];
-}
-
-const dense::LuFactorizationF& BlockOpsF::lu(index_t i) const {
-  FSI_CHECK(i >= 0 && i < num_blocks(), "BlockOpsF: block index out of range");
-  return *lu_[static_cast<std::size_t>(i)];
-}
-
-dense::MatrixF BlockOpsF::up(index_t k, index_t l,
-                             dense::ConstMatrixViewF g) const {
-  dense::MatrixF rhs = (k == l) ? minus_identity(g) : sched::acquire_copy_f(g);
-  if (k == 0) dense::scal(-1.0f, rhs);
-  lu(k).solve(rhs);
-  return rhs;
-}
-
-dense::MatrixF BlockOpsF::down(index_t k, index_t l,
-                               dense::ConstMatrixViewF g) const {
-  const index_t lmax = num_blocks() - 1;
-  const index_t kn = m_.wrap(k + 1);
-  dense::MatrixF out = sched::acquire_f(block_size(), block_size());
-  const float sign = (k == lmax) ? -1.0f : 1.0f;
-  dense::gemm(dense::Trans::No, dense::Trans::No, sign, b(kn), g, 0.0f, out);
-  if (kn == l) {
-    for (index_t d = 0; d < block_size(); ++d) out(d, d) += 1.0f;
-  }
+  const T sign = (l == num_blocks() - 1) ? T(-1) : T(1);
+  if (k != l) return product<T>(sign, g, inv(ln), false);
+  Block shifted = minus_identity(g);
+  Block out = product<T>(sign, shifted, inv(ln), false);
+  sched::recycle(std::move(shifted));
   return out;
 }
 
-dense::MatrixF BlockOpsF::left(index_t k, index_t l,
-                               dense::ConstMatrixViewF g) const {
-  dense::MatrixF out = sched::acquire_f(block_size(), block_size());
-  const float sign = (l == 0) ? -1.0f : 1.0f;
-  dense::gemm(dense::Trans::No, dense::Trans::No, sign, g, b(l), 0.0f, out);
-  if (m_.wrap(l - 1) == k) {
-    for (index_t d = 0; d < block_size(); ++d) out(d, d) += 1.0f;
-  }
-  return out;
-}
-
-dense::MatrixF BlockOpsF::right(index_t k, index_t l,
-                                dense::ConstMatrixViewF g) const {
-  const index_t ln = m_.wrap(l + 1);
-  dense::MatrixF rhs = (k == l) ? minus_identity(g) : sched::acquire_copy_f(g);
-  if (l == num_blocks() - 1) dense::scal(-1.0f, rhs);
-  lu(ln).solve_right(rhs);
-  return rhs;
-}
+template class BasicBlockOps<double>;
+template class BasicBlockOps<float>;
 
 }  // namespace fsi::pcyclic

@@ -171,7 +171,7 @@ std::vector<Measurements> run_fsi_batch(const HubbardModel& model,
             FSI_OBS_SPAN("qmc.build_m");
             sw->mat = std::make_unique<pcyclic::PCyclicMatrix>(
                 model.build_m(task.field, spin));
-            // Mixed tasks factor fp32; the fp64 BlockOps is built lazily by
+            // Mixed tasks invert in fp32; the fp64 BlockOps is built lazily by
             // the gate node only when the task falls back.
             if (mixed)
               sw->ops_f = std::make_unique<pcyclic::BlockOpsF>(*sw->mat);

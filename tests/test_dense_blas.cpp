@@ -1,10 +1,12 @@
 /// Unit tests for the Level-1/2/3 kernels against naive references,
 /// including a parameterised sweep over the sizes / transposes / scalars
-/// that exercise both the small serial path and the packed parallel path.
+/// that exercise both the serial and the OpenMP-threaded gemm.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
+#include <string>
 #include <tuple>
 
 #include "fsi/dense/blas.hpp"
@@ -56,14 +58,14 @@ TEST_P(GemmTest, MatchesNaiveReference) {
 INSTANTIATE_TEST_SUITE_P(
     Shapes, GemmTest,
     ::testing::Values(
-        // Small path (below the parallel threshold).
+        // Serial (below the parallel threshold).
         GemmCase{1, 1, 1, Trans::No, Trans::No, 1.0, 0.0},
         GemmCase{3, 5, 7, Trans::No, Trans::No, 2.0, 0.5},
         GemmCase{8, 6, 256, Trans::No, Trans::No, 1.0, 1.0},
         GemmCase{17, 23, 31, Trans::Yes, Trans::No, -1.0, 1.0},
         GemmCase{17, 23, 31, Trans::No, Trans::Yes, 1.0, 0.0},
         GemmCase{17, 23, 31, Trans::Yes, Trans::Yes, 0.5, 2.0},
-        // Parallel packed path (>= 2^21 flops), incl. non-multiple-of-tile
+        // OpenMP-threaded (>= 2^21 flops), incl. non-multiple-of-tile
         // edges and k crossing the KC=256 blocking boundary.
         GemmCase{128, 128, 128, Trans::No, Trans::No, 1.0, 0.0},
         GemmCase{130, 126, 257, Trans::No, Trans::No, 1.0, 1.0},
@@ -71,7 +73,9 @@ INSTANTIATE_TEST_SUITE_P(
         GemmCase{130, 126, 257, Trans::No, Trans::Yes, 1.0, -1.0},
         GemmCase{130, 126, 257, Trans::Yes, Trans::Yes, 3.0, 0.25},
         GemmCase{97, 203, 511, Trans::No, Trans::No, 1.0, 0.0},
-        GemmCase{256, 64, 520, Trans::Yes, Trans::Yes, 1.0, 1.0}),
+        GemmCase{256, 64, 520, Trans::Yes, Trans::Yes, 1.0, 1.0},
+        // Serial, taller than one 64-row A block and deeper than KC=256.
+        GemmCase{150, 7, 300, Trans::Yes, Trans::No, 1.0, 0.5}),
     gemm_case_name);
 
 TEST(Gemm, ZeroSizedOperandsAreNoOps) {
@@ -307,6 +311,32 @@ TYPED_TEST(TypedBlas, GemmParallelPathMatchesNaive) {
   fsi::testing::naive_gemm_t<T>(Trans::No, Trans::No, T(1), a, b, T(0), c_ref);
   fsi::testing::expect_close(c, c_ref, fsi::testing::Tol<T>::tight,
                              "typed parallel gemm");
+}
+
+TYPED_TEST(TypedBlas, GemmPropagatesNaNAtEveryShape) {
+  // A NaN column of A times a zero row of B: every C(i, j) sums a 0 * NaN
+  // term, so every entry must be NaN (IEEE), serial or threaded.  The
+  // health sentinel's non-finite check relies on this at block sizes.
+  using T = TypeParam;
+  for (const index_t n : {index_t{36}, index_t{160}}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const bool threaded = 2ull * n * n * n >= kParallelFlopThreshold;
+    EXPECT_EQ(threaded, n == 160);
+    util::Rng rng(46, static_cast<std::uint64_t>(n));
+    BasicMatrix<T> a = fsi::testing::random_matrix_t<T>(n, n, rng);
+    BasicMatrix<T> b = fsi::testing::random_matrix_t<T>(n, n, rng);
+    const index_t p = n / 3;
+    for (index_t i = 0; i < n; ++i) {
+      a(i, p) = std::numeric_limits<T>::quiet_NaN();
+      b(p, i) = T(0);
+    }
+    BasicMatrix<T> c(n, n);
+    gemm(Trans::No, Trans::No, T(1), a, b, T(0), c);
+    index_t nans = 0;
+    for (index_t j = 0; j < n; ++j)
+      for (index_t i = 0; i < n; ++i) nans += std::isnan(c(i, j)) ? 1 : 0;
+    EXPECT_EQ(nans, n * n);
+  }
 }
 
 TYPED_TEST(TypedBlas, TrsmTrmmRoundTrip) {

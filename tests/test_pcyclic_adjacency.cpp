@@ -138,15 +138,14 @@ TEST(Adjacency, WholeRowFromSingleSeed) {
   }
 }
 
-TEST(Adjacency, LuAccessorMatchesBlocks) {
+TEST(Adjacency, InverseAccessorMatchesBlocks) {
   AdjacencyFixtureData f(4, 3, 208);
   for (index_t i = 0; i < 3; ++i) {
-    Matrix x = Matrix::identity(4);
-    f.ops.lu(i).solve(x);  // x = B_i^-1
-    Matrix prod = dense::matmul(Matrix::copy_of(f.m.b(i)), x);
+    Matrix prod = dense::matmul(f.m.b(i), f.ops.inv(i));
     expect_close(prod, Matrix::identity(4), 1e-10, "B B^-1 = I");
   }
-  EXPECT_THROW(f.ops.lu(3), util::CheckError);
+  EXPECT_THROW(f.ops.inv(3), util::CheckError);
+  EXPECT_THROW(f.ops.inv(-1), util::CheckError);
 }
 
 }  // namespace
