@@ -135,23 +135,26 @@ struct FsiBatchOptions {
   index_t cluster_size = 0;      ///< 0 = divisor of L nearest sqrt(L)
   Schedule schedule = Schedule::WorkStealing;
   /// Scalar precision of the CLS and WRP nodes (FSI_PRECISION env default).
-  /// Mixed tasks get a per-task gate node between the wrap fences and the
-  /// measurement: probed residual / cond1 beyond selinv::mixed_gate() (or
-  /// non-finite fp32 output) triggers an in-node serial fp64 recompute of
-  /// that task, counted in Counter::MixedFallbacks.  BSOFI always runs
-  /// fp64.  Fp64 batches are bit-identical to the pre-precision engine.
+  /// Mixed tasks run the fp32 pipeline and get a per-task gate node between
+  /// the wrap fences and the measurement: when selinv::mixed_gate_verdict()
+  /// rejects either spin, the node recomputes both spins in fp64 with the
+  /// serial selinv::fsi_multi (counted in Counter::MixedFallbacks).  BSOFI
+  /// always runs fp64.  Fp64 batches are bit-identical to the pre-precision
+  /// engine.
   Precision precision = precision_from_env();
 };
 
 /// Execute a batch of externally-supplied tasks through the same
 /// fine-granularity task graph as run_parallel_fsi (build -> cluster
 /// products -> BSOFI -> seed walks -> measure, one sub-graph per task and
-/// spin, all on the persistent sched::Executor pool, so a straggler task's
-/// seed walks are stolen by idle workers).  Returns one Measurements per
-/// task, in task order; results are bit-identical to running in-process
-/// selinv::fsi_multi + the measurement accumulators per task, regardless of
-/// worker count or steal order.  \p sched, when non-null, receives the
-/// run's scheduler telemetry.
+/// spin — a build node in front of selinv::emit_fsi_tasks — all on the
+/// persistent sched::Executor pool, so a straggler task's seed walks are
+/// stolen by idle workers).  Returns one Measurements per task, in task
+/// order; results are bit-identical to running in-process
+/// selinv::fsi_multi on the task's two matrices + the measurement
+/// accumulators, regardless of worker count or steal order (a mixed task
+/// whose either spin falls back is fp64 in both).  \p sched, when
+/// non-null, receives the run's scheduler telemetry.
 std::vector<Measurements> run_fsi_batch(const HubbardModel& model,
                                         const std::vector<FsiBatchTask>& tasks,
                                         const FsiBatchOptions& options,

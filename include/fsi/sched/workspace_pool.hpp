@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -54,16 +55,16 @@ class WorkspacePool {
   /// recycling from static-destruction contexts stays safe.
   static WorkspacePool& global();
 
-  /// A rows x cols zero-initialised matrix, backed by recycled storage when
-  /// a buffer of the same element count is cached.
-  dense::Matrix acquire(index_t rows, index_t cols);
-  /// fp32 twin of acquire(), served from the fp32 shard set.
-  dense::MatrixF acquire_f(index_t rows, index_t cols);
+  /// A rows x cols zero-initialised matrix of scalar \p T (double or
+  /// float), backed by recycled storage when a buffer of the same element
+  /// count is cached in that scalar's shard set.
+  template <typename T = double>
+  dense::BasicMatrix<T> acquire(index_t rows, index_t cols);
 
-  /// Deep copy of \p src into pool-backed storage (compacts the leading
-  /// dimension, like dense::Matrix::copy_of).
+  /// Deep copy of \p src into pool-backed storage of the same scalar
+  /// (compacts the leading dimension, like dense::Matrix::copy_of).
   dense::Matrix acquire_copy(dense::ConstMatrixView src);
-  dense::MatrixF acquire_copy_f(dense::ConstMatrixViewF src);
+  dense::MatrixF acquire_copy(dense::ConstMatrixViewF src);
 
   /// Return a matrix's storage to the pool.  Empty matrices and recycles
   /// beyond the byte cap are dropped; disabled pools free immediately.
@@ -99,11 +100,16 @@ class WorkspacePool {
     return shards[(count * 11400714819323198485ull) >> 61];
   }
 
+  /// The shard set of scalar \p T.
   template <typename T>
-  dense::BasicMatrix<T> acquire_impl(Shard<T> (&shards)[kShards], index_t rows,
-                                     index_t cols);
+  auto& shards() {
+    if constexpr (std::is_same_v<T, float>)
+      return shards_f_;
+    else
+      return shards_;
+  }
   template <typename T>
-  void recycle_impl(Shard<T> (&shards)[kShards], dense::BasicMatrix<T>&& m);
+  void recycle_impl(dense::BasicMatrix<T>&& m);
 
   bool enabled_;
   std::size_t max_bytes_;
@@ -114,20 +120,18 @@ class WorkspacePool {
 };
 
 /// Conveniences on the global pool — what the FSI stages call.
-inline dense::Matrix acquire(index_t rows, index_t cols) {
-  return WorkspacePool::global().acquire(rows, cols);
+template <typename T = double>
+dense::BasicMatrix<T> acquire(index_t rows, index_t cols) {
+  return WorkspacePool::global().acquire<T>(rows, cols);
 }
 inline dense::Matrix acquire_copy(dense::ConstMatrixView src) {
   return WorkspacePool::global().acquire_copy(src);
 }
+inline dense::MatrixF acquire_copy(dense::ConstMatrixViewF src) {
+  return WorkspacePool::global().acquire_copy(src);
+}
 inline void recycle(dense::Matrix&& m) {
   WorkspacePool::global().recycle(std::move(m));
-}
-inline dense::MatrixF acquire_f(index_t rows, index_t cols) {
-  return WorkspacePool::global().acquire_f(rows, cols);
-}
-inline dense::MatrixF acquire_copy_f(dense::ConstMatrixViewF src) {
-  return WorkspacePool::global().acquire_copy_f(src);
 }
 inline void recycle(dense::MatrixF&& m) {
   WorkspacePool::global().recycle(std::move(m));

@@ -20,6 +20,7 @@
 /// sampled uniformly.
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "fsi/bsofi/bsofi.hpp"
@@ -64,11 +65,11 @@ struct FsiOptions {
   Exec exec = Exec::Auto;
   /// Scalar precision of the error-tolerant stages.  Fp64 (the default
   /// unless FSI_PRECISION overrides it) is bit-identical to the historic
-  /// pipeline.  Mixed runs CLS cluster products and WRP seed walks in fp32
-  /// (BSOFI stays fp64), health-gates the result, and reruns in fp64 when
-  /// the gate trips — see mixed_gate() and docs/precision.md.  Mixed runs
-  /// execute loop-shaped (the graph path is fp64-only at this layer; the
-  /// batched graph engine in qmc::run_fsi_batch has its own mixed nodes).
+  /// pipeline.  Mixed runs the same stage code at T = float for CLS cluster
+  /// products and WRP seed walks (BSOFI stays fp64), health-gates the result
+  /// with mixed_gate_verdict(), and reruns in fp64 when the gate trips — see
+  /// docs/precision.md.  Mixed runs take the same execution shape (graph or
+  /// loops) as fp64 ones, with bit-identical results across shapes.
   Precision precision = precision_from_env();
 };
 
@@ -95,29 +96,27 @@ struct FsiStats {
   }
 };
 
+// The stages are templates on the stage scalar T — double for the default
+// pipeline, float for the error-tolerant stages of a Mixed run — and are
+// instantiated for exactly those two.  Whatever T is, what a stage hands on
+// is fp64: fp32 cluster products are promoted before BSOFI and fp32 walk
+// blocks are promoted as they are stored, so downstream code never sees T.
+
 /// Stage 1 (CLS): factor-of-c block cyclic reduction.  Returns the reduced
 /// b-block p-cyclic matrix whose blocks are
 ///   B~_{i} = B_{j0} B_{j0-1} ... B_{j0-c+1},  j0 = c(i+1) - q - 1 (0-based),
 /// cyclic in the block index.  Cluster products run in parallel (OpenMP).
+template <typename T = double>
 pcyclic::PCyclicMatrix cluster(const pcyclic::PCyclicMatrix& m, index_t c,
                                index_t q, bool parallel = true);
 
-/// One cluster product B~_i — the body of one CLS loop iteration / graph
-/// node.  Pool-backed; safe to call concurrently for distinct \p i.
-dense::Matrix cluster_product(const pcyclic::PCyclicMatrix& m, index_t c,
-                              index_t q, index_t i);
-
-/// Mixed-precision twin of cluster_product: demotes each B block on the
-/// fly (O(N^2) against the O(cN^3) product) and multiplies the chain in
-/// fp32.  The caller promotes the product before BSOFI.
-dense::MatrixF cluster_product_f(const pcyclic::PCyclicMatrix& m, index_t c,
-                                 index_t q, index_t i);
-
-/// CLS with fp32 cluster products, each promoted to fp64 on completion —
-/// the reduced matrix feeds the (always-fp64) BSOFI stage unchanged.
-pcyclic::PCyclicMatrix cluster_mixed(const pcyclic::PCyclicMatrix& m,
-                                     index_t c, index_t q,
-                                     bool parallel = true);
+/// One cluster product B~_i at scalar T — the body of one CLS loop
+/// iteration / graph node.  At T = float each B block is demoted on the fly
+/// (O(N^2) against the O(cN^3) chain).  Pool-backed; safe to call
+/// concurrently for distinct \p i.
+template <typename T = double>
+dense::BasicMatrix<T> cluster_product(const pcyclic::PCyclicMatrix& m,
+                                      index_t c, index_t q, index_t i);
 
 /// Number of independent seed walks of one wrapping stage: b for the
 /// diagonal-family patterns, b^2 for Columns/Rows (paper Alg. 2).
@@ -126,37 +125,25 @@ index_t num_wrap_seeds(Pattern pattern, index_t b);
 /// One seed walk — the body of one WRP loop iteration / graph node.  Grows
 /// the blocks reachable from linearised seed index \p seed (Columns:
 /// seed = l0*b + k0; Rows: seed = k0*b + l0; diagonal family: seed = k0)
-/// into \p out.  Distinct seeds write disjoint slots, so concurrent walks
-/// need no locking.
-void wrap_seed(const pcyclic::BlockOps& ops, const dense::Matrix& gtilde,
-               Pattern pattern, const pcyclic::Selection& sel,
-               pcyclic::SelectedInversion& out, index_t seed);
-
-/// Mixed-precision twin of wrap_seed: walks fp32 blocks through the fp32
-/// adjacency relations of \p ops, starting from the demoted reduced
-/// inverse \p gtilde_f, and promotes every stored block into \p out (whose
-/// slots stay fp64, so downstream measurement code is unchanged).
-void wrap_seed_f(const pcyclic::BlockOpsF& ops, const dense::MatrixF& gtilde_f,
-                 Pattern pattern, const pcyclic::Selection& sel,
-                 pcyclic::SelectedInversion& out, index_t seed);
+/// into \p out, walking at scalar T from the reduced inverse \p gtilde
+/// (demoted for T = float) and storing fp64 blocks.  Distinct seeds write
+/// disjoint slots, so concurrent walks need no locking.
+template <typename T>
+void wrap_seed(const pcyclic::BasicBlockOps<T>& ops,
+               const dense::BasicMatrix<T>& gtilde, Pattern pattern,
+               const pcyclic::Selection& sel, pcyclic::SelectedInversion& out,
+               index_t seed);
 
 /// Stage 3 (WRP): grow the selected inversion from the reduced inverse
 /// \p gtilde (a dense bN x bN matrix, as produced by bsofi::invert).
 /// Seeds are processed in parallel (OpenMP); each seed walks
 /// floor((c-1)/2) steps one way and floor(c/2) the other so consecutive
 /// seeds tile the pattern exactly (paper Alg. 2).
-pcyclic::SelectedInversion wrap(const pcyclic::BlockOps& ops,
-                                const dense::Matrix& gtilde, Pattern pattern,
-                                const pcyclic::Selection& sel,
+template <typename T>
+pcyclic::SelectedInversion wrap(const pcyclic::BasicBlockOps<T>& ops,
+                                const dense::BasicMatrix<T>& gtilde,
+                                Pattern pattern, const pcyclic::Selection& sel,
                                 bool parallel = true);
-
-/// Mixed-precision WRP over wrap_seed_f (gtilde_f is the demoted reduced
-/// inverse; results are promoted fp64 blocks).
-pcyclic::SelectedInversion wrap_f(const pcyclic::BlockOpsF& ops,
-                                  const dense::MatrixF& gtilde_f,
-                                  Pattern pattern,
-                                  const pcyclic::Selection& sel,
-                                  bool parallel = true);
 
 // ---------------------------------------------------------------------------
 // Mixed-precision health gate.
@@ -177,11 +164,15 @@ struct MixedGate {
 MixedGate mixed_gate() noexcept;
 void set_mixed_gate(const MixedGate& gate) noexcept;
 
-/// Worst probed residual ||(M G_sel - I) block||_max over two rotating
-/// block probes — the same check residual_spot_check samples, exposed so
-/// the mixed gate can run it on every mixed run.  Returns -1 for patterns
-/// that store no adjacent blocks (no residual can be formed from stored
-/// data); the gate then relies on the cond1 bound alone.
+/// Worst probed residual ||(M G_sel - I) block||_max over two block probes
+/// — the check the mixed gate runs on every mixed run and the fp64 health
+/// spot check samples.  Each probe sits where two seed walks meet (in the
+/// line of seed 0 and of seed b/2, between the last block of that seed's
+/// down/right walk and the first of the next seed's up/left walk): walk
+/// ends carry the most accumulated round-off.  The positions depend only
+/// on the selection, so identical inputs always probe identical blocks.
+/// Returns -1 for patterns that store no adjacent blocks (no residual can
+/// be formed from stored data); the gate then relies on the cond1 bound.
 double probe_residual(const pcyclic::PCyclicMatrix& m,
                       const pcyclic::SelectedInversion& out, Pattern pattern,
                       const pcyclic::Selection& sel);
@@ -192,9 +183,10 @@ double probe_residual(const pcyclic::PCyclicMatrix& m,
 double reduced_cond1(const pcyclic::PCyclicMatrix& reduced,
                      dense::ConstMatrixView gtilde);
 
-/// The full FSI algorithm (paper Alg. 1).  \p rng supplies the random q
-/// when opts.q < 0.  \p stats, when non-null, receives per-stage
-/// times/flops.  Prebuilt \p ops must wrap the same matrix \p m.
+/// The full FSI algorithm (paper Alg. 1): fsi_multi with the single
+/// pattern opts.pattern.  \p rng supplies the random q when opts.q < 0.
+/// \p stats, when non-null, receives per-stage times/flops.  Prebuilt
+/// \p ops must wrap the same matrix \p m.
 pcyclic::SelectedInversion fsi(const pcyclic::PCyclicMatrix& m,
                                const pcyclic::BlockOps& ops,
                                const FsiOptions& opts, util::Rng& rng,
@@ -211,28 +203,40 @@ pcyclic::SelectedInversion fsi(const pcyclic::PCyclicMatrix& m,
 /// the shared reduced inverse — the DQMC measurement workload (all
 /// diagonals + block rows + block columns per Green's function, Fig. 10)
 /// without re-reducing per pattern.  All patterns share the same q.
-/// Results are returned in the order of \p patterns.
+/// Results are returned in the order of \p patterns.  Every call runs one
+/// stage pipeline, templated on the stage scalar, as a task graph or as
+/// OpenMP loops (FsiOptions::exec); a Mixed call runs it at float (fp32
+/// BlockOps built here, counted as wrap work), applies
+/// mixed_gate_verdict(), and on a trip reruns it at double.
 std::vector<pcyclic::SelectedInversion> fsi_multi(
     const pcyclic::PCyclicMatrix& m, const pcyclic::BlockOps& ops,
     const std::vector<Pattern>& patterns, const FsiOptions& opts,
     util::Rng& rng, FsiStats* stats = nullptr);
 
-/// Storage of one FSI decomposed into graph nodes.  The caller owns this
-/// object and must keep it (and the referenced matrix/ops) alive until the
-/// graph has run; node bodies write disjoint parts of it:
-///   - cluster node i writes cls_blocks[i];
+/// Storage of one FSI pipeline at stage scalar \p T, decomposed into graph
+/// nodes by emit_fsi_tasks (or filled stage by stage by the loop driver).
+/// The caller owns this object and must keep it (and the referenced
+/// matrix/ops) alive until the graph has run; node bodies write disjoint
+/// parts of it:
+///   - cluster node i writes cls_blocks[i] (promoted to fp64);
 ///   - the BSOFI node assembles the reduced matrix from cls_blocks
-///     (recycling them) and writes gtilde + the stage flop fences;
+///     (recycling them), writes gtilde, cond1 (T = float only), the empty
+///     results and the stage flop fences;
 ///   - wrap node (p, seed) writes disjoint slots of results[p].
 /// After the run the caller recycles gtilde and harvests results.
+template <typename T>
 struct FsiGraphTask {
   const pcyclic::PCyclicMatrix* m = nullptr;
-  const pcyclic::BlockOps* ops = nullptr;
+  const pcyclic::BasicBlockOps<T>* ops = nullptr;
   pcyclic::Selection sel{1, 1, 0};
   std::vector<Pattern> patterns;
 
-  std::vector<dense::Matrix> cls_blocks;          ///< filled by CLS nodes
-  dense::Matrix gtilde;                           ///< filled by the BSOFI node
+  std::vector<dense::Matrix> cls_blocks;  ///< filled by CLS nodes
+  /// The reduced inverse at stage scalar T — what the walks start from.
+  /// BSOFI always runs fp64; for T = float the node demotes its result.
+  dense::BasicMatrix<T> gtilde;
+  /// reduced_cond1 of the fp64 reduced system, for the mixed gate (T = float).
+  double cond1 = 0.0;
   std::vector<pcyclic::SelectedInversion> results;  ///< one per pattern
 
   /// Global flop-counter fences recorded by the BSOFI node at entry/exit.
@@ -250,13 +254,28 @@ struct FsiEmit {
   std::vector<sched::NodeId> wrap_nodes;
 };
 
-/// Decompose one FSI into graph nodes: b cluster-product nodes, one BSOFI
-/// node depending on them, and one node per wrap seed walk (per pattern)
-/// depending on BSOFI.  \p task must have m/ops/sel/patterns set; its
-/// storage fields are sized here.  All nodes carry \p owner_hint, so with
-/// stealing disabled an entire task runs on its statically assigned worker.
-FsiEmit emit_fsi_tasks(sched::TaskGraph& graph, FsiGraphTask& task,
-                       int owner_hint = 0);
+/// Decompose one FSI into graph nodes at the task's stage scalar: b
+/// cluster-product nodes, one BSOFI node depending on them, and one node
+/// per wrap seed walk (per pattern) depending on BSOFI.  \p task must have
+/// sel/patterns set, and m/ops unless \p after is given: then every
+/// cluster node depends on node \p after, which must set task.m and
+/// task.ops (qmc::run_fsi_batch's matrix-assembly node).  All nodes carry
+/// \p owner_hint, so with stealing disabled an entire task runs on its
+/// statically assigned worker.
+template <typename T>
+FsiEmit emit_fsi_tasks(sched::TaskGraph& graph, FsiGraphTask<T>& task,
+                       int owner_hint = 0,
+                       std::optional<sched::NodeId> after = std::nullopt);
+
+/// The mixed gate's verdict on a finished fp32-stage FSI (graph or loops):
+/// nullptr when \p gate accepts it, else the first failing check —
+/// "cond1" (task.cond1 above cond_max), "nonfinite" (NaN/Inf in the demoted
+/// reduced inverse) or "residual" (a probe_residual of a stored pattern
+/// above resid_max, or NaN).  Probed residuals stream into the health
+/// monitor.  fsi_multi and qmc::run_fsi_batch's per-task gate node both
+/// decide through this one function.
+const char* mixed_gate_verdict(const FsiGraphTask<float>& task,
+                               const MixedGate& gate);
 
 /// Stable computation of the single equal-time block G(k, k) via CLS and a
 /// *partial* BSOFI (one block row of the reduced inverse, O(b N^3) instead

@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <optional>
+#include <string>
+#include <type_traits>
 
 #include "fsi/dense/blas.hpp"
 #include "fsi/dense/norms.hpp"
@@ -47,26 +50,67 @@ class StageMeter {
   util::flops::Scope flop_scope_;
 };
 
+/// The fp64 block a stage hands on from a block at stage scalar T: a copy
+/// for a walk store, the block itself for a finished (owned) cluster product
+/// or seed.  fp32 blocks are promoted into pool-backed fp64 storage.
+template <typename T>
+dense::Matrix to_fp64(const dense::BasicMatrix<T>& src) {
+  if constexpr (std::is_same_v<T, double>) {
+    return sched::acquire_copy(src);
+  } else {
+    dense::Matrix out = sched::acquire(src.rows(), src.cols());
+    dense::promote(src, out.view());
+    return out;
+  }
+}
+
+template <typename T>
+dense::Matrix to_fp64(dense::BasicMatrix<T>&& src) {
+  if constexpr (std::is_same_v<T, double>) {
+    return std::move(src);
+  } else {
+    dense::Matrix out = to_fp64(src);
+    sched::recycle(std::move(src));
+    return out;
+  }
+}
+
 }  // namespace
 
-dense::Matrix cluster_product(const PCyclicMatrix& m, index_t c, index_t q,
-                              index_t i) {
+template <typename T>
+dense::BasicMatrix<T> cluster_product(const PCyclicMatrix& m, index_t c,
+                                      index_t q, index_t i) {
   // Cluster i covers the c consecutive blocks ending at j0 = c(i+1)-q-1:
   //   B~_i = B[j0] B[j0-1] ... B[j0-c+1]  (indices cyclic).
   FSI_OBS_SPAN("cls.cluster");
   const index_t n = m.block_size();
   const index_t j_lo = c * i - q;  // j0 - c + 1
-  dense::Matrix prod = sched::acquire_copy(m.b(m.wrap(j_lo)));
-  dense::Matrix next = sched::acquire(n, n);
+  // At fp32 each factor is demoted on the fly: every B block belongs to
+  // exactly one cluster, so nothing is demoted twice and the O(N^2)
+  // conversions vanish next to the O(cN^3) products.
+  dense::BasicMatrix<T> demoted;
+  if constexpr (std::is_same_v<T, float>) demoted = sched::acquire<T>(n, n);
+  auto factor = [&](index_t j) -> dense::BasicConstMatrixView<T> {
+    if constexpr (std::is_same_v<T, double>) {
+      return m.b(m.wrap(j));
+    } else {
+      dense::demote(m.b(m.wrap(j)), demoted.view());
+      return demoted.view();
+    }
+  };
+  dense::BasicMatrix<T> prod = sched::acquire_copy(factor(j_lo));
+  dense::BasicMatrix<T> next = sched::acquire<T>(n, n);
   for (index_t t = 1; t < c; ++t) {
-    dense::gemm(dense::Trans::No, dense::Trans::No, 1.0, m.b(m.wrap(j_lo + t)),
-                prod, 0.0, next);
+    dense::gemm<T>(dense::Trans::No, dense::Trans::No, T(1), factor(j_lo + t),
+                   prod, T(0), next);
     std::swap(prod, next);
   }
   sched::recycle(std::move(next));
+  sched::recycle(std::move(demoted));
   return prod;
 }
 
+template <typename T>
 PCyclicMatrix cluster(const PCyclicMatrix& m, index_t c, index_t q,
                       bool parallel) {
   const index_t l = m.num_blocks();
@@ -80,58 +124,16 @@ PCyclicMatrix cluster(const PCyclicMatrix& m, index_t c, index_t q,
   // executed in embarrassingly parallel" (paper Sec. II-C).
 #pragma omp parallel for schedule(dynamic) if (parallel)
   for (index_t i = 0; i < b; ++i)
-    reduced.b_matrix(i) = cluster_product(m, c, q, i);
-  return reduced;
-}
-
-dense::MatrixF cluster_product_f(const PCyclicMatrix& m, index_t c, index_t q,
-                                 index_t i) {
-  // Same chain as cluster_product, with every factor demoted on the fly:
-  // each B block belongs to exactly one cluster, so nothing is demoted
-  // twice and the O(N^2) conversions vanish next to the O(cN^3) products.
-  FSI_OBS_SPAN("cls.cluster_f");
-  const index_t n = m.block_size();
-  const index_t j_lo = c * i - q;  // j0 - c + 1
-  dense::MatrixF prod = sched::acquire_f(n, n);
-  dense::demote(m.b(m.wrap(j_lo)), prod.view());
-  dense::MatrixF bf = sched::acquire_f(n, n);
-  dense::MatrixF next = sched::acquire_f(n, n);
-  for (index_t t = 1; t < c; ++t) {
-    dense::demote(m.b(m.wrap(j_lo + t)), bf.view());
-    dense::gemm(dense::Trans::No, dense::Trans::No, 1.0f, bf, prod, 0.0f,
-                next);
-    std::swap(prod, next);
-  }
-  sched::recycle(std::move(bf));
-  sched::recycle(std::move(next));
-  return prod;
-}
-
-PCyclicMatrix cluster_mixed(const PCyclicMatrix& m, index_t c, index_t q,
-                            bool parallel) {
-  const index_t l = m.num_blocks();
-  FSI_CHECK(c > 0 && l % c == 0, "cluster_mixed: c must divide L");
-  FSI_CHECK(q >= 0 && q < c, "cluster_mixed: q must be in [0, c)");
-  const index_t b = l / c;
-  const index_t n = m.block_size();
-
-  PCyclicMatrix reduced(n, b);
-#pragma omp parallel for schedule(dynamic) if (parallel)
-  for (index_t i = 0; i < b; ++i) {
-    dense::MatrixF prod = cluster_product_f(m, c, q, i);
-    dense::Matrix promoted = sched::acquire(n, n);
-    dense::promote(prod, promoted.view());
-    sched::recycle(std::move(prod));
-    reduced.b_matrix(i) = std::move(promoted);
-  }
+    reduced.b_matrix(i) = to_fp64(cluster_product<T>(m, c, q, i));
   return reduced;
 }
 
 namespace {
 
 /// Copy the seed block G~(k0, l0) out of the reduced inverse (pool-backed).
-dense::Matrix seed_block(const dense::Matrix& gtilde, index_t n, index_t k0,
-                         index_t l0) {
+template <typename T>
+dense::BasicMatrix<T> seed_block(const dense::BasicMatrix<T>& gtilde, index_t n,
+                                 index_t k0, index_t l0) {
   return sched::acquire_copy(gtilde.block(k0 * n, l0 * n, n, n));
 }
 
@@ -145,9 +147,9 @@ dense::Matrix seed_block(const dense::Matrix& gtilde, index_t n, index_t k0,
 /// and symmetrically via G M = I for the Rows pattern.  Two probed block
 /// rows cost ~4 N^3 flops against the ~3 b^2 c N^3 of the wrap itself
 /// (~0.1% at the paper's shape), further divided by the sampling period;
-/// probe positions rotate across calls so repeated sampling sweeps the
-/// whole selection.  Other patterns store no adjacent blocks, so no
-/// residual can be formed from stored data alone — they are skipped.
+/// the probes sit at walk ends, and a Monte Carlo run's random q moves
+/// them across the selection.  Other patterns store no adjacent blocks,
+/// so no residual can be formed from stored data alone — they are skipped.
 void residual_spot_check(const PCyclicMatrix& m, const SelectedInversion& out,
                          Pattern pattern, const Selection& sel) {
   if (pattern != Pattern::Columns && pattern != Pattern::Rows) return;
@@ -168,18 +170,16 @@ double probe_residual(const PCyclicMatrix& m, const SelectedInversion& out,
   const index_t l = m.num_blocks();
   const auto idx = sel.indices();
 
-  static std::atomic<std::uint64_t> probe_tick{0};
-  const std::uint64_t t = probe_tick.fetch_add(1, std::memory_order_relaxed);
-  const index_t line = idx[static_cast<index_t>(t % idx.size())];
-
   double worst = 0.0;
-  for (int probe = 0; probe < 2; ++probe) {
-    const index_t k = static_cast<index_t>(
-        (t + static_cast<std::uint64_t>(probe) *
-                 static_cast<std::uint64_t>(l / 2 + 1)) %
-        static_cast<std::uint64_t>(l));
+  for (const index_t seed : {index_t{0}, sel.b() / 2}) {
+    // In the line of this seed, its down/right walk ends at `last`; the
+    // next seed's up/left walk ends one block further on.
+    const index_t line = idx[static_cast<std::size_t>(seed)];
+    const index_t last = m.wrap(line + sel.c / 2);
+    // The probed block row (Columns: links k-1 and k) or column (Rows:
+    // links k and k+1).
+    const index_t k = (pattern == Pattern::Columns) ? m.wrap(last + 1) : last;
     dense::Matrix r(n, n);
-    index_t diag;  // the index that makes this block a diagonal of G
     if (pattern == Pattern::Columns) {
       dense::copy(out.at(k, line), r.view());
       if (k >= 1)
@@ -188,7 +188,6 @@ double probe_residual(const PCyclicMatrix& m, const SelectedInversion& out,
       else
         dense::gemm(dense::Trans::No, dense::Trans::No, 1.0, m.b(0),
                     out.at(l - 1, line), 1.0, r);
-      diag = line;
     } else {
       dense::copy(out.at(line, k), r.view());
       if (k + 1 < l)
@@ -197,9 +196,8 @@ double probe_residual(const PCyclicMatrix& m, const SelectedInversion& out,
       else
         dense::gemm(dense::Trans::No, dense::Trans::No, 1.0, out.at(line, 0),
                     m.b(0), 1.0, r);
-      diag = line;
     }
-    if (k == diag)
+    if (k == line)  // a diagonal block of G
       for (index_t d = 0; d < n; ++d) r(d, d) -= 1.0;
     worst = std::max(worst, dense::max_abs(r.view()));
   }
@@ -258,10 +256,12 @@ index_t num_wrap_seeds(Pattern pattern, index_t b) {
   return 0;
 }
 
-void wrap_seed(const pcyclic::BlockOps& ops, const dense::Matrix& gtilde,
-               Pattern pattern, const Selection& sel, SelectedInversion& out,
-               index_t seed) {
+template <typename T>
+void wrap_seed(const pcyclic::BasicBlockOps<T>& ops,
+               const dense::BasicMatrix<T>& gtilde, Pattern pattern,
+               const Selection& sel, SelectedInversion& out, index_t seed) {
   FSI_OBS_SPAN("wrp.seed");
+  using Block = dense::BasicMatrix<T>;
   const index_t n = ops.block_size();
   const index_t l = ops.num_blocks();
   const index_t b = sel.b();
@@ -273,7 +273,7 @@ void wrap_seed(const pcyclic::BlockOps& ops, const dense::Matrix& gtilde,
     case Pattern::Diagonal: {
       // S1 is exactly the diagonal seeds — no adjacency moves needed.
       const index_t k0 = seed;
-      out.slot(idx[k0], idx[k0]) = seed_block(gtilde, n, k0, k0);
+      out.slot(idx[k0], idx[k0]) = to_fp64(seed_block(gtilde, n, k0, k0));
       break;
     }
     case Pattern::SubDiagonal: {
@@ -282,8 +282,8 @@ void wrap_seed(const pcyclic::BlockOps& ops, const dense::Matrix& gtilde,
       const index_t k0 = seed;
       const index_t k = idx[k0];
       if (k == l - 1) break;
-      dense::Matrix sb = seed_block(gtilde, n, k0, k0);
-      out.slot(k, k + 1) = ops.right(k, k, sb);
+      Block sb = seed_block(gtilde, n, k0, k0);
+      out.slot(k, k + 1) = to_fp64(ops.right(k, k, sb));
       sched::recycle(std::move(sb));
       break;
     }
@@ -296,26 +296,26 @@ void wrap_seed(const pcyclic::BlockOps& ops, const dense::Matrix& gtilde,
       const index_t row = idx[k0];
       // Two independent walks from one seed; every intermediate and
       // every stored copy cycles through the workspace pool.
-      dense::Matrix sb = seed_block(gtilde, n, k0, l0);
-      dense::Matrix cur = sched::acquire_copy(sb);
+      Block sb = seed_block(gtilde, n, k0, l0);
+      Block cur = sched::acquire_copy(sb);
       index_t k = row;
       for (index_t s = 0; s < up_steps; ++s) {
-        dense::Matrix next = ops.up(k, col, cur);
+        Block next = ops.up(k, col, cur);
         sched::recycle(std::move(cur));
         cur = std::move(next);
         k = ops.matrix().wrap(k - 1);
-        out.slot(k, col) = sched::acquire_copy(cur);
+        out.slot(k, col) = to_fp64(cur);
       }
       sched::recycle(std::move(cur));
       cur = std::move(sb);
       k = row;
-      out.slot(k, col) = sched::acquire_copy(cur);
+      out.slot(k, col) = to_fp64(cur);
       for (index_t s = 0; s < down_steps; ++s) {
-        dense::Matrix next = ops.down(k, col, cur);
+        Block next = ops.down(k, col, cur);
         sched::recycle(std::move(cur));
         cur = std::move(next);
         k = ops.matrix().wrap(k + 1);
-        out.slot(k, col) = sched::acquire_copy(cur);
+        out.slot(k, col) = to_fp64(cur);
       }
       sched::recycle(std::move(cur));
       break;
@@ -326,30 +326,30 @@ void wrap_seed(const pcyclic::BlockOps& ops, const dense::Matrix& gtilde,
       // adjacency step each (the "Hirsch wrapping" for equal-time blocks).
       const index_t k0 = seed;
       const index_t row = idx[k0];
-      dense::Matrix sb = seed_block(gtilde, n, k0, k0);
-      dense::Matrix cur = sched::acquire_copy(sb);
+      Block sb = seed_block(gtilde, n, k0, k0);
+      Block cur = sched::acquire_copy(sb);
       index_t k = row;
       for (index_t s = 0; s < up_steps; ++s) {
         // up-left: G(k-1, k-1) = B_k^-1 G(k, k) B_k.
-        dense::Matrix mid = ops.up(k, k, cur);
+        Block mid = ops.up(k, k, cur);
         sched::recycle(std::move(cur));
         cur = ops.left(ops.matrix().wrap(k - 1), k, mid);
         sched::recycle(std::move(mid));
         k = ops.matrix().wrap(k - 1);
-        out.slot(k, k) = sched::acquire_copy(cur);
+        out.slot(k, k) = to_fp64(cur);
       }
       sched::recycle(std::move(cur));
       cur = std::move(sb);
       k = row;
-      out.slot(k, k) = sched::acquire_copy(cur);
+      out.slot(k, k) = to_fp64(cur);
       for (index_t s = 0; s < down_steps; ++s) {
         // down-right: G(k+1, k+1) = B_{k+1} G(k, k) B_{k+1}^-1.
-        dense::Matrix mid = ops.down(k, k, cur);
+        Block mid = ops.down(k, k, cur);
         sched::recycle(std::move(cur));
         cur = ops.right(ops.matrix().wrap(k + 1), k, mid);
         sched::recycle(std::move(mid));
         k = ops.matrix().wrap(k + 1);
-        out.slot(k, k) = sched::acquire_copy(cur);
+        out.slot(k, k) = to_fp64(cur);
       }
       sched::recycle(std::move(cur));
       break;
@@ -360,26 +360,26 @@ void wrap_seed(const pcyclic::BlockOps& ops, const dense::Matrix& gtilde,
       const index_t l0 = seed % b;
       const index_t row = idx[k0];
       const index_t col = idx[l0];
-      dense::Matrix sb = seed_block(gtilde, n, k0, l0);
-      dense::Matrix cur = sched::acquire_copy(sb);
+      Block sb = seed_block(gtilde, n, k0, l0);
+      Block cur = sched::acquire_copy(sb);
       index_t cl = col;
       for (index_t s = 0; s < up_steps; ++s) {
-        dense::Matrix next = ops.left(row, cl, cur);
+        Block next = ops.left(row, cl, cur);
         sched::recycle(std::move(cur));
         cur = std::move(next);
         cl = ops.matrix().wrap(cl - 1);
-        out.slot(row, cl) = sched::acquire_copy(cur);
+        out.slot(row, cl) = to_fp64(cur);
       }
       sched::recycle(std::move(cur));
       cur = std::move(sb);
       cl = col;
-      out.slot(row, cl) = sched::acquire_copy(cur);
+      out.slot(row, cl) = to_fp64(cur);
       for (index_t s = 0; s < down_steps; ++s) {
-        dense::Matrix next = ops.right(row, cl, cur);
+        Block next = ops.right(row, cl, cur);
         sched::recycle(std::move(cur));
         cur = std::move(next);
         cl = ops.matrix().wrap(cl + 1);
-        out.slot(row, cl) = sched::acquire_copy(cur);
+        out.slot(row, cl) = to_fp64(cur);
       }
       sched::recycle(std::move(cur));
       break;
@@ -387,148 +387,10 @@ void wrap_seed(const pcyclic::BlockOps& ops, const dense::Matrix& gtilde,
   }
 }
 
-namespace {
-
-/// Copy the seed block G~(k0, l0) out of the demoted reduced inverse.
-dense::MatrixF seed_block_f(const dense::MatrixF& gtilde_f, index_t n,
-                            index_t k0, index_t l0) {
-  return sched::acquire_copy_f(gtilde_f.block(k0 * n, l0 * n, n, n));
-}
-
-/// Promote an fp32 walk block into a pool-backed fp64 matrix — what the
-/// mixed wrap stores into the (fp64) SelectedInversion slots.
-dense::Matrix promoted_store(const dense::MatrixF& src) {
-  dense::Matrix out = sched::acquire(src.rows(), src.cols());
-  dense::promote(src, out.view());
-  return out;
-}
-
-}  // namespace
-
-void wrap_seed_f(const pcyclic::BlockOpsF& ops, const dense::MatrixF& gtilde_f,
-                 Pattern pattern, const Selection& sel, SelectedInversion& out,
-                 index_t seed) {
-  // Kept in lockstep with wrap_seed above: same walks, same recycle
-  // discipline, fp32 intermediates, promoted stores.
-  FSI_OBS_SPAN("wrp.seed_f");
-  const index_t n = ops.block_size();
-  const index_t l = ops.num_blocks();
-  const index_t b = sel.b();
-  const auto idx = sel.indices();
-  const index_t up_steps = (sel.c - 1) / 2;
-  const index_t down_steps = sel.c / 2;
-
-  switch (pattern) {
-    case Pattern::Diagonal: {
-      const index_t k0 = seed;
-      dense::MatrixF sb = seed_block_f(gtilde_f, n, k0, k0);
-      out.slot(idx[k0], idx[k0]) = promoted_store(sb);
-      sched::recycle(std::move(sb));
-      break;
-    }
-    case Pattern::SubDiagonal: {
-      const index_t k0 = seed;
-      const index_t k = idx[k0];
-      if (k == l - 1) break;
-      dense::MatrixF sb = seed_block_f(gtilde_f, n, k0, k0);
-      dense::MatrixF moved = ops.right(k, k, sb);
-      out.slot(k, k + 1) = promoted_store(moved);
-      sched::recycle(std::move(moved));
-      sched::recycle(std::move(sb));
-      break;
-    }
-    case Pattern::Columns: {
-      const index_t l0 = seed / b;
-      const index_t k0 = seed % b;
-      const index_t col = idx[l0];
-      const index_t row = idx[k0];
-      dense::MatrixF sb = seed_block_f(gtilde_f, n, k0, l0);
-      dense::MatrixF cur = sched::acquire_copy_f(sb);
-      index_t k = row;
-      for (index_t s = 0; s < up_steps; ++s) {
-        dense::MatrixF next = ops.up(k, col, cur);
-        sched::recycle(std::move(cur));
-        cur = std::move(next);
-        k = ops.matrix().wrap(k - 1);
-        out.slot(k, col) = promoted_store(cur);
-      }
-      sched::recycle(std::move(cur));
-      cur = std::move(sb);
-      k = row;
-      out.slot(k, col) = promoted_store(cur);
-      for (index_t s = 0; s < down_steps; ++s) {
-        dense::MatrixF next = ops.down(k, col, cur);
-        sched::recycle(std::move(cur));
-        cur = std::move(next);
-        k = ops.matrix().wrap(k + 1);
-        out.slot(k, col) = promoted_store(cur);
-      }
-      sched::recycle(std::move(cur));
-      break;
-    }
-    case Pattern::AllDiagonals: {
-      const index_t k0 = seed;
-      const index_t row = idx[k0];
-      dense::MatrixF sb = seed_block_f(gtilde_f, n, k0, k0);
-      dense::MatrixF cur = sched::acquire_copy_f(sb);
-      index_t k = row;
-      for (index_t s = 0; s < up_steps; ++s) {
-        dense::MatrixF mid = ops.up(k, k, cur);
-        sched::recycle(std::move(cur));
-        cur = ops.left(ops.matrix().wrap(k - 1), k, mid);
-        sched::recycle(std::move(mid));
-        k = ops.matrix().wrap(k - 1);
-        out.slot(k, k) = promoted_store(cur);
-      }
-      sched::recycle(std::move(cur));
-      cur = std::move(sb);
-      k = row;
-      out.slot(k, k) = promoted_store(cur);
-      for (index_t s = 0; s < down_steps; ++s) {
-        dense::MatrixF mid = ops.down(k, k, cur);
-        sched::recycle(std::move(cur));
-        cur = ops.right(ops.matrix().wrap(k + 1), k, mid);
-        sched::recycle(std::move(mid));
-        k = ops.matrix().wrap(k + 1);
-        out.slot(k, k) = promoted_store(cur);
-      }
-      sched::recycle(std::move(cur));
-      break;
-    }
-    case Pattern::Rows: {
-      const index_t k0 = seed / b;
-      const index_t l0 = seed % b;
-      const index_t row = idx[k0];
-      const index_t col = idx[l0];
-      dense::MatrixF sb = seed_block_f(gtilde_f, n, k0, l0);
-      dense::MatrixF cur = sched::acquire_copy_f(sb);
-      index_t cl = col;
-      for (index_t s = 0; s < up_steps; ++s) {
-        dense::MatrixF next = ops.left(row, cl, cur);
-        sched::recycle(std::move(cur));
-        cur = std::move(next);
-        cl = ops.matrix().wrap(cl - 1);
-        out.slot(row, cl) = promoted_store(cur);
-      }
-      sched::recycle(std::move(cur));
-      cur = std::move(sb);
-      cl = col;
-      out.slot(row, cl) = promoted_store(cur);
-      for (index_t s = 0; s < down_steps; ++s) {
-        dense::MatrixF next = ops.right(row, cl, cur);
-        sched::recycle(std::move(cur));
-        cur = std::move(next);
-        cl = ops.matrix().wrap(cl + 1);
-        out.slot(row, cl) = promoted_store(cur);
-      }
-      sched::recycle(std::move(cur));
-      break;
-    }
-  }
-}
-
-SelectedInversion wrap(const pcyclic::BlockOps& ops, const dense::Matrix& gtilde,
-                       Pattern pattern, const Selection& sel, bool parallel) {
+template <typename T>
+SelectedInversion wrap(const pcyclic::BasicBlockOps<T>& ops,
+                       const dense::BasicMatrix<T>& gtilde, Pattern pattern,
+                       const Selection& sel, bool parallel) {
   const index_t n = ops.block_size();
   const index_t l = ops.num_blocks();
   const index_t b = sel.b();
@@ -550,72 +412,74 @@ SelectedInversion wrap(const pcyclic::BlockOps& ops, const dense::Matrix& gtilde
   return out;
 }
 
-SelectedInversion wrap_f(const pcyclic::BlockOpsF& ops,
-                         const dense::MatrixF& gtilde_f, Pattern pattern,
-                         const Selection& sel, bool parallel) {
-  const index_t n = ops.block_size();
-  const index_t l = ops.num_blocks();
-  const index_t b = sel.b();
-  FSI_CHECK(gtilde_f.rows() == b * n && gtilde_f.cols() == b * n,
-            "wrap_f: reduced inverse has wrong dimensions");
-  FSI_CHECK(sel.l_total == l, "wrap_f: selection does not match the matrix");
+namespace {
 
-  SelectedInversion out(pattern, n, sel);
-  const index_t seeds = num_wrap_seeds(pattern, b);
-  if (pattern == Pattern::Diagonal) {
-    for (index_t s = 0; s < seeds; ++s)
-      wrap_seed_f(ops, gtilde_f, pattern, sel, out, s);
-    return out;
+/// Stage 2 for a pipeline at stage scalar T: invert the reduced matrix in
+/// fp64 (releasing its blocks, which feed only BSOFI) and leave the walks'
+/// starting point in task.gtilde — demoted, with the gate's cond1 taken
+/// first, when the walks run in fp32.
+template <typename T>
+void invert_reduced(PCyclicMatrix& reduced, FsiGraphTask<T>& task) {
+  dense::Matrix gtilde = bsofi::invert(reduced);
+  if constexpr (std::is_same_v<T, double>) {
+    task.gtilde = std::move(gtilde);
+  } else {
+    task.cond1 = reduced_cond1(reduced, gtilde);
+    task.gtilde = sched::acquire<float>(gtilde.rows(), gtilde.cols());
+    dense::demote(gtilde, task.gtilde.view());
+    sched::recycle(std::move(gtilde));
   }
-#pragma omp parallel for schedule(dynamic) if (parallel)
-  for (index_t s = 0; s < seeds; ++s)
-    wrap_seed_f(ops, gtilde_f, pattern, sel, out, s);
-  return out;
+  reduced.release_blocks();
 }
 
-FsiEmit emit_fsi_tasks(sched::TaskGraph& graph, FsiGraphTask& task,
-                       int owner_hint) {
-  FSI_CHECK(task.m != nullptr && task.ops != nullptr,
-            "emit_fsi_tasks: task needs a matrix and BlockOps");
-  FSI_CHECK(&task.ops->matrix() == task.m,
-            "emit_fsi_tasks: BlockOps must wrap the same matrix");
+}  // namespace
+
+template <typename T>
+FsiEmit emit_fsi_tasks(sched::TaskGraph& graph, FsiGraphTask<T>& task,
+                       int owner_hint, std::optional<sched::NodeId> after) {
   FSI_CHECK(!task.patterns.empty(), "emit_fsi_tasks: need at least one pattern");
-  const PCyclicMatrix& m = *task.m;
-  const index_t l = m.num_blocks();
+  if (!after) {
+    FSI_CHECK(task.m != nullptr && task.ops != nullptr,
+              "emit_fsi_tasks: task needs a matrix and BlockOps");
+    FSI_CHECK(&task.ops->matrix() == task.m,
+              "emit_fsi_tasks: BlockOps must wrap the same matrix");
+    FSI_CHECK(task.sel.l_total == task.m->num_blocks(),
+              "emit_fsi_tasks: selection does not match the matrix");
+  }
   const index_t c = task.sel.c;
   const index_t q = task.sel.q;
-  FSI_CHECK(c > 0 && l % c == 0, "emit_fsi_tasks: c must divide L");
+  FSI_CHECK(c > 0 && task.sel.l_total % c == 0,
+            "emit_fsi_tasks: c must divide L");
   FSI_CHECK(q >= 0 && q < c, "emit_fsi_tasks: q must be in [0, c)");
-  FSI_CHECK(task.sel.l_total == l,
-            "emit_fsi_tasks: selection does not match the matrix");
   const index_t b = task.sel.b();
-  const index_t n = m.block_size();
 
   task.cls_blocks.assign(static_cast<std::size_t>(b), dense::Matrix());
   task.results.clear();
   task.results.reserve(task.patterns.size());
-  for (Pattern p : task.patterns) task.results.emplace_back(p, n, task.sel);
 
-  FsiGraphTask* t = &task;
+  FsiGraphTask<T>* t = &task;
   FsiEmit emit;
   std::vector<sched::NodeId> cls_nodes;
   cls_nodes.reserve(static_cast<std::size_t>(b));
   for (index_t i = 0; i < b; ++i) {
-    cls_nodes.push_back(graph.add_node(
+    const sched::NodeId id = graph.add_node(
         [t, c, q, i](int) {
           FSI_OBS_SPAN("fsi.cls");
           t->cls_blocks[static_cast<std::size_t>(i)] =
-              cluster_product(*t->m, c, q, i);
+              to_fp64(cluster_product<T>(*t->m, c, q, i));
         },
-        sched::Stage::Cls, owner_hint));
+        sched::Stage::Cls, owner_hint);
+    if (after) graph.add_edge(*after, id);
+    cls_nodes.push_back(id);
   }
   emit.bsofi = graph.add_node(
       [t](int) {
         FSI_OBS_SPAN("fsi.bsofi");
         t->flops_at_cls_end = util::flops::total();
         PCyclicMatrix reduced(std::move(t->cls_blocks));
-        t->gtilde = bsofi::invert(reduced);
-        reduced.release_blocks();  // the clustered products feed only BSOFI
+        invert_reduced(reduced, *t);
+        for (Pattern p : t->patterns)
+          t->results.emplace_back(p, t->m->block_size(), t->sel);
         t->flops_at_bsofi_end = util::flops::total();
       },
       sched::Stage::Bsofi, owner_hint);
@@ -636,6 +500,31 @@ FsiEmit emit_fsi_tasks(sched::TaskGraph& graph, FsiGraphTask& task,
     }
   }
   return emit;
+}
+
+const char* mixed_gate_verdict(const FsiGraphTask<float>& task,
+                               const MixedGate& gate) {
+  FSI_OBS_SPAN("fsi.mixed_gate");
+  // cond1 first: when the reduced matrix already eats most of fp32's ~7
+  // digits, the walks cannot have recovered.
+  if (!(task.cond1 <= gate.cond_max)) return "cond1";
+  if (!dense::all_finite(task.gtilde.view())) return "nonfinite";
+  // Residual probes on every checkable pattern (unconditionally — mixed
+  // runs always pay the ~4 N^3 probe; it is what licenses the fp32 result).
+  util::WallTimer health_timer;
+  const char* reason = nullptr;
+  for (const SelectedInversion& out : task.results) {
+    const double r = probe_residual(*task.m, out, out.pattern(), task.sel);
+    if (r < 0.0) continue;  // pattern stores no adjacent blocks
+    obs::health::record_residual(r);
+    if (!(r <= gate.resid_max)) {  // catches NaN too
+      reason = "residual";
+      break;
+    }
+  }
+  obs::metrics::add_seconds(obs::metrics::Accum::HealthCheck,
+                            health_timer.seconds());
+  return reason;
 }
 
 namespace {
@@ -660,133 +549,96 @@ int graph_workers() {
   return w > 0 ? static_cast<int>(w) : omp_get_max_threads();
 }
 
-/// Shared graph-mode driver of fsi() and fsi_multi(): emit, run on the
-/// persistent pool, derive FsiStats from per-stage busy sums (span sums —
-/// overlapped stages no longer double-count wall time) and the BSOFI node's
-/// flop fences.
-std::vector<SelectedInversion> fsi_graph_run(const PCyclicMatrix& m,
-                                             const pcyclic::BlockOps& ops,
-                                             const std::vector<Pattern>& patterns,
-                                             const Selection& sel,
-                                             FsiStats& stats) {
-  const std::uint64_t f0 = util::flops::total();
-  FsiGraphTask task;
+/// The FSI pipeline at stage scalar T, in the execution shape opts.exec
+/// selects; both shapes run the same serial kernel sequences on disjoint
+/// outputs, so their results are bit-identical.  Stage times and flops are
+/// added to \p stats: in graph mode from per-stage busy sums (span sums —
+/// overlapped stages do not double-count wall time) and the BSOFI node's
+/// flop fences, in loop mode from per-stage meters.
+template <typename T>
+FsiGraphTask<T> run_stages(const PCyclicMatrix& m,
+                           const pcyclic::BasicBlockOps<T>& ops,
+                           const std::vector<Pattern>& patterns,
+                           const Selection& sel, const FsiOptions& opts,
+                           FsiStats& stats) {
+  FsiGraphTask<T> task;
   task.m = &m;
   task.ops = &ops;
   task.sel = sel;
   task.patterns = patterns;
 
-  sched::TaskGraph graph;
-  emit_fsi_tasks(graph, task);
-  const sched::GraphStats gs = sched::Executor::instance().run_graph(
-      graph, graph_workers(), sched::ExecOptions::from_env());
-  const std::uint64_t f_end = util::flops::total();
+  if (use_graph(opts)) {
+    const std::uint64_t f0 = util::flops::total();
+    sched::TaskGraph graph;
+    emit_fsi_tasks(graph, task);
+    const sched::GraphStats gs = sched::Executor::instance().run_graph(
+        graph, graph_workers(), sched::ExecOptions::from_env());
+    const std::uint64_t f_end = util::flops::total();
+    stats.seconds_cls += gs.of(sched::Stage::Cls).busy_seconds;
+    stats.seconds_bsofi += gs.of(sched::Stage::Bsofi).busy_seconds;
+    stats.seconds_wrap += gs.of(sched::Stage::Wrap).busy_seconds;
+    stats.flops_cls += task.flops_at_cls_end - f0;
+    stats.flops_bsofi += task.flops_at_bsofi_end - task.flops_at_cls_end;
+    stats.flops_wrap += f_end - task.flops_at_bsofi_end;
+    return task;
+  }
 
-  sched::recycle(std::move(task.gtilde));
-  for (std::size_t i = 0; i < patterns.size(); ++i)
-    residual_spot_check(m, task.results[i], patterns[i], sel);
-
-  stats.q = sel.q;
-  stats.seconds_cls = gs.of(sched::Stage::Cls).busy_seconds;
-  stats.seconds_bsofi = gs.of(sched::Stage::Bsofi).busy_seconds;
-  stats.seconds_wrap = gs.of(sched::Stage::Wrap).busy_seconds;
-  stats.flops_cls = task.flops_at_cls_end - f0;
-  stats.flops_bsofi = task.flops_at_bsofi_end - task.flops_at_cls_end;
-  stats.flops_wrap = f_end - task.flops_at_bsofi_end;
-  return std::move(task.results);
+  PCyclicMatrix reduced = [&] {  // Stage 1: CLS.
+    StageMeter meter("fsi.cls", stats.seconds_cls, stats.flops_cls);
+    return cluster<T>(m, sel.c, sel.q, opts.coarse_parallel);
+  }();
+  {  // Stage 2: BSOFI.
+    StageMeter meter("fsi.bsofi", stats.seconds_bsofi, stats.flops_bsofi);
+    invert_reduced(reduced, task);
+  }
+  {  // Stage 3: WRP.
+    StageMeter meter("fsi.wrap", stats.seconds_wrap, stats.flops_wrap);
+    for (Pattern p : patterns)
+      task.results.push_back(
+          wrap(ops, task.gtilde, p, sel, opts.coarse_parallel));
+  }
+  return task;
 }
 
-/// One mixed-precision attempt: fp32 CLS (promoted per product), fp64
-/// BSOFI, fp32 WRP (promoted stores), then the health gate.  True when the
-/// gate accepted; false (results discarded by the caller) when the run must
-/// be redone in fp64.  Stage accounting goes into \p stats exactly like the
-/// fp64 loop path's.
-bool fsi_mixed_attempt(const PCyclicMatrix& m,
-                       const std::vector<Pattern>& patterns,
-                       const Selection& sel, bool coarse_parallel,
-                       std::vector<SelectedInversion>& results,
-                       FsiStats& stats) {
+/// A Mixed call's fp32 attempt: the pipeline at T = float behind the mixed
+/// gate.  True = \p out holds the accepted result.  False = the gate
+/// tripped or an fp32 stage threw (e.g. a block singular at fp32 that is
+/// fine at fp64): the fallback is counted and WARN-logged, and \p stats is
+/// reset (mixed_fallback flagged) for the caller's fp64 run.
+bool run_mixed(const PCyclicMatrix& m, const std::vector<Pattern>& patterns,
+               const Selection& sel, const FsiOptions& opts, FsiStats& stats,
+               std::vector<SelectedInversion>& out) {
   obs::metrics::add(obs::metrics::Counter::MixedRuns, 1);
   const MixedGate gate = mixed_gate();
-
-  PCyclicMatrix reduced = [&] {  // Stage 1: CLS in fp32.
-    StageMeter meter("fsi.cls", stats.seconds_cls, stats.flops_cls);
-    return cluster_mixed(m, sel.c, sel.q, coarse_parallel);
-  }();
-  dense::Matrix gtilde = [&] {  // Stage 2: BSOFI, always fp64.
-    StageMeter meter("fsi.bsofi", stats.seconds_bsofi, stats.flops_bsofi);
-    return bsofi::invert(reduced);
-  }();
-  // cond1 gate before any wrapping work: when the reduced matrix already
-  // eats most of fp32's ~7 digits, the walks cannot recover.  (The value
-  // also streams into Hist::Cond1Reduced via bsofi::invert.)
-  const double cond1 = reduced_cond1(reduced, gtilde);
-  reduced.release_blocks();
-  if (!dense::all_finite(gtilde.view()) || !(cond1 <= gate.cond_max)) {
-    sched::recycle(std::move(gtilde));
-    return false;
-  }
-
-  {  // Stage 3: WRP in fp32 (BlockOpsF demote+invert is wrap work, like
-     // the fp64 convenience overload attributes BlockOps).
-    StageMeter meter("fsi.wrap", stats.seconds_wrap, stats.flops_wrap);
-    const pcyclic::BlockOpsF opsf(m);
-    dense::MatrixF gtilde_f = sched::acquire_f(gtilde.rows(), gtilde.cols());
-    dense::demote(gtilde, gtilde_f.view());
-    results.reserve(patterns.size());
-    for (Pattern p : patterns)
-      results.push_back(wrap_f(opsf, gtilde_f, p, sel, coarse_parallel));
-    sched::recycle(std::move(gtilde_f));
-  }
-  sched::recycle(std::move(gtilde));
-
-  // Residual gate: probe every checkable pattern (unconditionally — mixed
-  // runs always pay the ~4 N^3 probe; it is what licenses the fp32 result).
-  util::WallTimer health_timer;
-  bool ok = true;
-  for (std::size_t i = 0; i < patterns.size(); ++i) {
-    const double r = probe_residual(m, results[i], patterns[i], sel);
-    if (r < 0.0) continue;  // pattern stores no adjacent blocks
-    obs::health::record_residual(r);
-    if (!(r <= gate.resid_max)) ok = false;  // catches NaN too
-  }
-  obs::metrics::add_seconds(obs::metrics::Accum::HealthCheck,
-                            health_timer.seconds());
-  return ok;
-}
-
-/// Mixed driver shared by fsi() and fsi_multi(): try fp32, fall back to
-/// fp64 (counted + WARN-logged) when the gate trips or the fp32 factorise
-/// dies on a singular block.  True = \p results holds the accepted mixed
-/// run; false = caller must run the fp64 path (with \p stats freshly
-/// zeroed here, mixed_fallback flagged).
-bool fsi_mixed_try(const PCyclicMatrix& m, const std::vector<Pattern>& patterns,
-                   const Selection& sel, const FsiOptions& opts,
-                   std::vector<SelectedInversion>& results, FsiStats& stats) {
-  const char* reason = "health_gate";
-  bool ok = false;
+  std::string reason;
   try {
-    ok = fsi_mixed_attempt(m, patterns, sel, opts.coarse_parallel, results,
-                           stats);
+    // The fp32 BlockOps feeds only the walks; count it as wrap work, like
+    // the fp64 convenience overload of fsi() counts BlockOps.
+    std::optional<pcyclic::BlockOpsF> ops;
+    {
+      StageMeter meter("fsi.blockops", stats.seconds_wrap, stats.flops_wrap);
+      ops.emplace(m);
+    }
+    FsiGraphTask<float> task = run_stages(m, *ops, patterns, sel, opts, stats);
+    const char* verdict = mixed_gate_verdict(task, gate);
+    sched::recycle(std::move(task.gtilde));
+    if (verdict == nullptr) {
+      out = std::move(task.results);
+      stats.precision_used = Precision::Mixed;
+      return true;
+    }
+    reason = verdict;
+    for (SelectedInversion& r : task.results) r.release_blocks();
   } catch (const util::CheckError& e) {
-    // e.g. a block singular at fp32 that is fine at fp64.
     reason = e.what();
-    ok = false;
-  }
-  if (ok) {
-    stats.precision_used = Precision::Mixed;
-    return true;
   }
   obs::metrics::add(obs::metrics::Counter::MixedFallbacks, 1);
   FSI_LOG_WARN("fsi.mixed_fallback", {"reason", reason},
-               {"resid_max", mixed_gate().resid_max},
-               {"cond_max", mixed_gate().cond_max});
-  results.clear();
+               {"resid_max", gate.resid_max}, {"cond_max", gate.cond_max});
   const index_t q = stats.q;
   stats = FsiStats{};
   stats.q = q;
   stats.mixed_fallback = true;
-  stats.precision_used = Precision::Fp64;
   return false;
 }
 
@@ -794,64 +646,11 @@ bool fsi_mixed_try(const PCyclicMatrix& m, const std::vector<Pattern>& patterns,
 
 SelectedInversion fsi(const PCyclicMatrix& m, const pcyclic::BlockOps& ops,
                       const FsiOptions& opts, util::Rng& rng, FsiStats* stats) {
-  FSI_CHECK(&ops.matrix() == &m, "fsi: BlockOps must wrap the same matrix");
-  const index_t c = opts.c;
-  const index_t q =
-      (opts.q >= 0) ? opts.q : static_cast<index_t>(rng.below(static_cast<std::uint64_t>(c)));
-  Selection sel(m.num_blocks(), c, q);
-
-  FsiStats local;
-  local.q = q;
-
-  if (opts.precision == Precision::Mixed) {
-    std::vector<SelectedInversion> results;
-    if (fsi_mixed_try(m, {opts.pattern}, sel, opts, results, local)) {
-      if (stats != nullptr) *stats = local;
-      return std::move(results.front());
-    }
-    // Gate tripped: fall through to the fp64 path below (loop or graph),
-    // with local freshly zeroed and mixed_fallback flagged.
-  }
-
-  if (use_graph(opts)) {
-    const bool fell_back = local.mixed_fallback;
-    std::vector<SelectedInversion> results =
-        fsi_graph_run(m, ops, {opts.pattern}, sel, local);
-    local.mixed_fallback = fell_back;
-    if (stats != nullptr) *stats = local;
-    return std::move(results.front());
-  }
-
-  PCyclicMatrix reduced = [&] {  // Stage 1: CLS.
-    StageMeter meter("fsi.cls", local.seconds_cls, local.flops_cls);
-    return cluster(m, c, q, opts.coarse_parallel);
-  }();
-  dense::Matrix gtilde = [&] {  // Stage 2: BSOFI.
-    StageMeter meter("fsi.bsofi", local.seconds_bsofi, local.flops_bsofi);
-    return bsofi::invert(reduced);
-  }();
-  reduced.release_blocks();  // the clustered products feed only BSOFI
-  SelectedInversion out = [&] {  // Stage 3: WRP.
-    StageMeter meter("fsi.wrap", local.seconds_wrap, local.flops_wrap);
-    return wrap(ops, gtilde, opts.pattern, sel, opts.coarse_parallel);
-  }();
-  sched::recycle(std::move(gtilde));
-  residual_spot_check(m, out, opts.pattern, sel);
-
-  if (stats != nullptr) *stats = local;
-  return out;
+  return std::move(fsi_multi(m, ops, {opts.pattern}, opts, rng, stats).front());
 }
 
 SelectedInversion fsi(const PCyclicMatrix& m, const FsiOptions& opts,
                       util::Rng& rng, FsiStats* stats) {
-  const index_t c = opts.c;
-  const index_t q =
-      (opts.q >= 0) ? opts.q : static_cast<index_t>(rng.below(static_cast<std::uint64_t>(c)));
-  FsiOptions fixed = opts;
-  fixed.q = q;
-
-  FsiStats local;
-
   // BlockOps inversion feeds only the wrapping moves; attribute it there.
   double ops_seconds = 0.0;
   std::uint64_t ops_f = 0;
@@ -861,7 +660,8 @@ SelectedInversion fsi(const PCyclicMatrix& m, const FsiOptions& opts,
     ops = std::make_unique<pcyclic::BlockOps>(m);
   }
 
-  SelectedInversion out = fsi(m, *ops, fixed, rng, &local);
+  FsiStats local;
+  SelectedInversion out = fsi(m, *ops, opts, rng, &local);
   local.seconds_wrap += ops_seconds;
   local.flops_wrap += ops_f;
   if (stats != nullptr) *stats = local;
@@ -882,42 +682,15 @@ std::vector<SelectedInversion> fsi_multi(const PCyclicMatrix& m,
 
   FsiStats local;
   local.q = q;
-
-  if (opts.precision == Precision::Mixed) {
-    std::vector<SelectedInversion> out;
-    if (fsi_mixed_try(m, patterns, sel, opts, out, local)) {
-      if (stats != nullptr) *stats = local;
-      return out;
-    }
-  }
-
-  if (use_graph(opts)) {
-    std::vector<SelectedInversion> out = fsi_graph_run(m, ops, patterns, sel, local);
-    if (stats != nullptr) *stats = local;
-    return out;
-  }
-
-  PCyclicMatrix reduced = [&] {
-    StageMeter meter("fsi.cls", local.seconds_cls, local.flops_cls);
-    return cluster(m, c, q, opts.coarse_parallel);
-  }();
-  dense::Matrix gtilde = [&] {
-    StageMeter meter("fsi.bsofi", local.seconds_bsofi, local.flops_bsofi);
-    return bsofi::invert(reduced);
-  }();
-  reduced.release_blocks();
-
   std::vector<SelectedInversion> out;
-  out.reserve(patterns.size());
-  {
-    StageMeter meter("fsi.wrap", local.seconds_wrap, local.flops_wrap);
-    for (Pattern p : patterns)
-      out.push_back(wrap(ops, gtilde, p, sel, opts.coarse_parallel));
+  if (opts.precision != Precision::Mixed ||
+      !run_mixed(m, patterns, sel, opts, local, out)) {
+    FsiGraphTask<double> task = run_stages(m, ops, patterns, sel, opts, local);
+    sched::recycle(std::move(task.gtilde));
+    for (std::size_t i = 0; i < patterns.size(); ++i)
+      residual_spot_check(m, task.results[i], patterns[i], sel);
+    out = std::move(task.results);
   }
-  sched::recycle(std::move(gtilde));
-  for (std::size_t i = 0; i < patterns.size(); ++i)
-    residual_spot_check(m, out[i], patterns[i], sel);
-
   if (stats != nullptr) *stats = local;
   return out;
 }
@@ -1012,5 +785,32 @@ double ComplexityModel::explicit_flops(Pattern pattern) const {
   }
   return 0.0;
 }
+
+// The two stage scalars: double for the default pipeline, float for the
+// error-tolerant stages of a Mixed run.
+template dense::Matrix cluster_product<double>(const PCyclicMatrix&, index_t,
+                                               index_t, index_t);
+template dense::MatrixF cluster_product<float>(const PCyclicMatrix&, index_t,
+                                               index_t, index_t);
+template PCyclicMatrix cluster<double>(const PCyclicMatrix&, index_t, index_t,
+                                       bool);
+template PCyclicMatrix cluster<float>(const PCyclicMatrix&, index_t, index_t,
+                                      bool);
+template void wrap_seed<double>(const pcyclic::BlockOps&, const dense::Matrix&,
+                                Pattern, const Selection&, SelectedInversion&,
+                                index_t);
+template void wrap_seed<float>(const pcyclic::BlockOpsF&, const dense::MatrixF&,
+                               Pattern, const Selection&, SelectedInversion&,
+                               index_t);
+template SelectedInversion wrap<double>(const pcyclic::BlockOps&,
+                                        const dense::Matrix&, Pattern,
+                                        const Selection&, bool);
+template SelectedInversion wrap<float>(const pcyclic::BlockOpsF&,
+                                       const dense::MatrixF&, Pattern,
+                                       const Selection&, bool);
+template FsiEmit emit_fsi_tasks<double>(sched::TaskGraph&, FsiGraphTask<double>&,
+                                        int, std::optional<sched::NodeId>);
+template FsiEmit emit_fsi_tasks<float>(sched::TaskGraph&, FsiGraphTask<float>&,
+                                       int, std::optional<sched::NodeId>);
 
 }  // namespace fsi::selinv

@@ -13,22 +13,10 @@ namespace {
 // Adjacency moves run thousands of times per batched FSI call, so their
 // outputs and temporaries come from (and go back to) the workspace pool.
 
-template <typename T>
-dense::BasicMatrix<T> acquire_block(index_t n) {
-  if constexpr (std::is_same_v<T, float>)
-    return sched::acquire_f(n, n);
-  else
-    return sched::acquire(n, n);
-}
-
 /// g - I (g must be square).
 template <typename T>
 dense::BasicMatrix<T> minus_identity(dense::BasicConstMatrixView<T> g) {
-  dense::BasicMatrix<T> out;
-  if constexpr (std::is_same_v<T, float>)
-    out = sched::acquire_copy_f(g);
-  else
-    out = sched::acquire_copy(g);
+  dense::BasicMatrix<T> out = sched::acquire_copy(g);
   for (index_t d = 0; d < out.rows(); ++d) out(d, d) -= T(1);
   return out;
 }
@@ -38,7 +26,7 @@ template <typename T>
 dense::BasicMatrix<T> product(T sign, dense::BasicConstMatrixView<T> lhs,
                               dense::BasicConstMatrixView<T> rhs,
                               bool plus_identity) {
-  dense::BasicMatrix<T> out = acquire_block<T>(lhs.rows());
+  dense::BasicMatrix<T> out = sched::acquire<T>(lhs.rows(), rhs.cols());
   dense::gemm<T>(dense::Trans::No, dense::Trans::No, sign, lhs, rhs, T(0), out);
   if (plus_identity) {
     for (index_t d = 0; d < out.rows(); ++d) out(d, d) += T(1);

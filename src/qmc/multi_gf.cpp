@@ -7,11 +7,10 @@
 #include <cmath>
 #include <cstddef>
 #include <memory>
+#include <type_traits>
 
-#include "fsi/dense/norms.hpp"
 #include "fsi/mpi/minimpi.hpp"
 #include "fsi/obs/env.hpp"
-#include "fsi/obs/health.hpp"
 #include "fsi/obs/log.hpp"
 #include "fsi/obs/metrics.hpp"
 #include "fsi/obs/trace.hpp"
@@ -29,6 +28,28 @@ namespace {
 
 /// Tag for the (task index, measurement payload) records sent to the root.
 constexpr int kTagTaskResults = 7;
+
+/// The patterns one task wraps: all diagonals for the equal-time
+/// measurements, plus block rows and columns for SPXX when it is heavy.
+std::vector<pcyclic::Pattern> task_patterns(bool heavy) {
+  if (!heavy) return {pcyclic::Pattern::AllDiagonals};
+  return {pcyclic::Pattern::AllDiagonals, pcyclic::Pattern::Rows,
+          pcyclic::Pattern::Columns};
+}
+
+/// One task's measurements from both spins' task_patterns results, in a
+/// fixed serial order.
+void measure_task(const HubbardModel& model,
+                  const std::vector<pcyclic::SelectedInversion>& up,
+                  const std::vector<pcyclic::SelectedInversion>& dn,
+                  bool heavy, Measurements& meas) {
+  meas.add_sample(1.0);
+  accumulate_equal_time(model.lattice(), up[0], dn[0], model.params().t, 1.0,
+                        false, meas);
+  if (heavy)
+    accumulate_spxx(model.lattice(), up[1], up[2], dn[1], dn[2], 1.0, false,
+                    meas);
+}
 
 bool use_fine_granularity(const MultiGfOptions& options) {
   switch (options.granularity) {
@@ -82,10 +103,17 @@ void run_fine_granularity(const HubbardModel& model,
 
 }  // namespace
 
-std::vector<Measurements> run_fsi_batch(const HubbardModel& model,
-                                        const std::vector<FsiBatchTask>& tasks,
-                                        const FsiBatchOptions& options,
-                                        SchedSummary* sched_out) {
+namespace {
+
+/// run_fsi_batch at stage scalar T: per task and spin, a Build node (M and
+/// the BlockOps at T) in front of the FSI pipeline emit_fsi_tasks lowers;
+/// for T = float a per-task gate node; then the task's Measure node.
+template <typename T>
+std::vector<Measurements> run_batch(const HubbardModel& model,
+                                    const std::vector<FsiBatchTask>& tasks,
+                                    const FsiBatchOptions& options,
+                                    SchedSummary* sched_out) {
+  constexpr bool kMixed = std::is_same_v<T, float>;
   const index_t l = model.params().l;
   const index_t n = model.num_sites();
   const auto m_total = static_cast<index_t>(tasks.size());
@@ -118,32 +146,20 @@ std::vector<Measurements> run_fsi_batch(const HubbardModel& model,
     for (index_t t = lo; t < hi; ++t) owner[static_cast<std::size_t>(t)] = w;
   }
 
-  const bool mixed = options.precision == Precision::Mixed;
   // Mixed-task telemetry, accumulated by the gate nodes.
   std::atomic<std::uint32_t> mixed_tasks{0};
   std::atomic<std::uint32_t> mixed_fallbacks{0};
 
-  /// Per-spin node storage; bodies of different nodes write disjoint fields.
+  /// Per-spin storage: the Build node sets mat/ops and points fsi at them;
+  /// the emitted FSI nodes fill fsi.
   struct SpinWork {
-    std::unique_ptr<pcyclic::PCyclicMatrix> mat;  ///< set by the Build node
-    std::unique_ptr<pcyclic::BlockOps> ops;       ///< set by the Build node
-    std::unique_ptr<pcyclic::BlockOpsF> ops_f;    ///< Build node, mixed only
-    std::vector<dense::Matrix> cls_blocks;        ///< one per Cls node
-    dense::Matrix gtilde;                         ///< set by the Bsofi node
-    dense::MatrixF gtilde_f;                      ///< Bsofi node, mixed only
-    double cond1 = 0.0;                           ///< Bsofi node, mixed only
-    pcyclic::SelectedInversion diag, rows, cols;  ///< filled by Wrap nodes
-    SpinWork(index_t nn, const pcyclic::Selection& sel)
-        : diag(pcyclic::Pattern::AllDiagonals, nn, sel),
-          rows(pcyclic::Pattern::Rows, nn, sel),
-          cols(pcyclic::Pattern::Columns, nn, sel) {}
+    std::unique_ptr<pcyclic::PCyclicMatrix> mat;
+    std::unique_ptr<pcyclic::BasicBlockOps<T>> ops;
+    selinv::FsiGraphTask<T> fsi;
   };
   struct TaskWork {
-    pcyclic::Selection sel;
     bool heavy;
     SpinWork up, dn;
-    TaskWork(const pcyclic::Selection& s, bool h, index_t nn)
-        : sel(s), heavy(h), up(nn, s), dn(nn, s) {}
   };
 
   std::vector<std::unique_ptr<TaskWork>> work;
@@ -157,127 +173,52 @@ std::vector<Measurements> run_fsi_batch(const HubbardModel& model,
   for (index_t t = 0; t < m_total; ++t) {
     const FsiBatchTask& task = tasks[static_cast<std::size_t>(t)];
     const pcyclic::Selection sel(l, c, task.q);
-    work.push_back(std::make_unique<TaskWork>(sel, task.heavy, n));
+    work.push_back(std::make_unique<TaskWork>());
     TaskWork* tw = work.back().get();
+    tw->heavy = task.heavy;
     const int hint = owner[static_cast<std::size_t>(t)];
-    const index_t b = sel.b();
-    const index_t q = task.q;
 
     std::vector<sched::NodeId> fences;  // all wrap nodes of both spins
     for (SpinWork* sw : {&tw->up, &tw->dn}) {
       const Spin spin = (sw == &tw->up) ? Spin::Up : Spin::Down;
       const sched::NodeId build = graph.add_node(
-          [&model, &task, sw, spin, mixed](int) {
+          [&model, &task, sw, spin](int) {
             FSI_OBS_SPAN("qmc.build_m");
             sw->mat = std::make_unique<pcyclic::PCyclicMatrix>(
                 model.build_m(task.field, spin));
-            // Mixed tasks invert in fp32; the fp64 BlockOps is built lazily by
-            // the gate node only when the task falls back.
-            if (mixed)
-              sw->ops_f = std::make_unique<pcyclic::BlockOpsF>(*sw->mat);
-            else
-              sw->ops = std::make_unique<pcyclic::BlockOps>(*sw->mat);
+            sw->ops = std::make_unique<pcyclic::BasicBlockOps<T>>(*sw->mat);
+            sw->fsi.m = sw->mat.get();
+            sw->fsi.ops = sw->ops.get();
           },
           sched::Stage::Build, hint);
-
-      sw->cls_blocks.assign(static_cast<std::size_t>(b), dense::Matrix());
-      std::vector<sched::NodeId> cls_nodes;
-      cls_nodes.reserve(static_cast<std::size_t>(b));
-      for (index_t i = 0; i < b; ++i) {
-        const sched::NodeId id = graph.add_node(
-            [sw, c, q, i, mixed](int) {
-              FSI_OBS_SPAN("fsi.cls");
-              dense::Matrix& slot = sw->cls_blocks[static_cast<std::size_t>(i)];
-              if (mixed) {
-                dense::MatrixF prod =
-                    selinv::cluster_product_f(*sw->mat, c, q, i);
-                slot = sched::acquire(prod.rows(), prod.cols());
-                dense::promote(prod, slot.view());
-                sched::recycle(std::move(prod));
-              } else {
-                slot = selinv::cluster_product(*sw->mat, c, q, i);
-              }
-            },
-            sched::Stage::Cls, hint);
-        graph.add_edge(build, id);
-        cls_nodes.push_back(id);
-      }
-      const sched::NodeId bsofi_node = graph.add_node(
-          [sw, mixed](int) {
-            FSI_OBS_SPAN("fsi.bsofi");
-            pcyclic::PCyclicMatrix reduced(std::move(sw->cls_blocks));
-            sw->gtilde = bsofi::invert(reduced);
-            if (mixed)
-              sw->cond1 = selinv::reduced_cond1(reduced, sw->gtilde);
-            reduced.release_blocks();
-            if (mixed) {
-              sw->gtilde_f =
-                  sched::acquire_f(sw->gtilde.rows(), sw->gtilde.cols());
-              dense::demote(sw->gtilde, sw->gtilde_f.view());
-            }
-          },
-          sched::Stage::Bsofi, hint);
-      for (sched::NodeId id : cls_nodes) graph.add_edge(id, bsofi_node);
-
-      auto emit_wrap = [&](pcyclic::Pattern pat,
-                           pcyclic::SelectedInversion* out) {
-        const index_t seeds = selinv::num_wrap_seeds(pat, b);
-        for (index_t s = 0; s < seeds; ++s) {
-          const sched::NodeId id = graph.add_node(
-              [sw, tw, pat, out, s, mixed](int) {
-                FSI_OBS_SPAN("fsi.wrap");
-                if (mixed)
-                  selinv::wrap_seed_f(*sw->ops_f, sw->gtilde_f, pat, tw->sel,
-                                      *out, s);
-                else
-                  selinv::wrap_seed(*sw->ops, sw->gtilde, pat, tw->sel, *out,
-                                    s);
-              },
-              sched::Stage::Wrap, hint);
-          graph.add_edge(bsofi_node, id);
-          fences.push_back(id);
-        }
-      };
-      emit_wrap(pcyclic::Pattern::AllDiagonals, &sw->diag);
-      if (tw->heavy) {
-        emit_wrap(pcyclic::Pattern::Rows, &sw->rows);
-        emit_wrap(pcyclic::Pattern::Columns, &sw->cols);
-      }
+      sw->fsi.sel = sel;
+      sw->fsi.patterns = task_patterns(task.heavy);
+      const selinv::FsiEmit emit =
+          selinv::emit_fsi_tasks(graph, sw->fsi, hint, build);
+      fences.insert(fences.end(), emit.wrap_nodes.begin(),
+                    emit.wrap_nodes.end());
     }
 
     // Mixed tasks get a gate node between the wrap fences and the
-    // measurement: check cond1, finiteness and (heavy tasks) the probed
-    // residual of both spins against selinv::mixed_gate(); on a trip,
-    // recompute the whole task serially in fp64 in-node, so the measurement
-    // downstream always consumes gated data.
+    // measurement: selinv::mixed_gate_verdict on both spins; on a trip,
+    // both spins are recomputed in-node by the serial fp64 fsi_multi, so
+    // the measurement downstream always consumes gated data.
     sched::NodeId gate_node = 0;
-    if (mixed) {
+    if constexpr (kMixed) {
       gate_node = graph.add_node(
-          [tw, t, c, q, &mixed_tasks, &mixed_fallbacks](int) {
-            FSI_OBS_SPAN("fsi.mixed_gate");
+          [tw, t, c, q = task.q, &mixed_tasks, &mixed_fallbacks](int) {
             mixed_tasks.fetch_add(1, std::memory_order_relaxed);
             obs::metrics::add(obs::metrics::Counter::MixedRuns, 1);
             const selinv::MixedGate gate = selinv::mixed_gate();
             const char* reason = nullptr;
             for (SpinWork* s : {&tw->up, &tw->dn}) {
-              if (!(s->cond1 <= gate.cond_max)) reason = "cond1";
-              else if (!dense::all_finite(s->gtilde.view()))
-                reason = "nonfinite";
-              else if (tw->heavy) {
-                for (const pcyclic::SelectedInversion* out :
-                     {&s->rows, &s->cols}) {
-                  const double r = selinv::probe_residual(
-                      *s->mat, *out, out->pattern(), tw->sel);
-                  if (r >= 0.0) obs::health::record_residual(r);
-                  if (!(r <= gate.resid_max)) reason = "residual";
-                }
-              }
+              reason = selinv::mixed_gate_verdict(s->fsi, gate);
               if (reason != nullptr) break;
             }
             // fp32 context is spent either way.
             for (SpinWork* s : {&tw->up, &tw->dn}) {
-              sched::recycle(std::move(s->gtilde_f));
-              s->ops_f.reset();
+              sched::recycle(std::move(s->fsi.gtilde));
+              s->ops.reset();
             }
             if (reason == nullptr) return;
             mixed_fallbacks.fetch_add(1, std::memory_order_relaxed);
@@ -285,26 +226,18 @@ std::vector<Measurements> run_fsi_batch(const HubbardModel& model,
             FSI_LOG_WARN("qmc.mixed_fallback", {"task", t}, {"reason", reason},
                          {"resid_max", gate.resid_max},
                          {"cond_max", gate.cond_max});
+            selinv::FsiOptions fp64;
+            fp64.c = c;
+            fp64.q = q;
+            fp64.coarse_parallel = false;
+            fp64.precision = Precision::Fp64;
+            util::Rng unused(0);  // q is fixed
             for (SpinWork* s : {&tw->up, &tw->dn}) {
-              s->ops = std::make_unique<pcyclic::BlockOps>(*s->mat);
-              pcyclic::PCyclicMatrix reduced =
-                  selinv::cluster(*s->mat, c, q, false);
-              sched::recycle(std::move(s->gtilde));
-              s->gtilde = bsofi::invert(reduced);
-              reduced.release_blocks();
-              s->diag.release_blocks();
-              s->diag = selinv::wrap(*s->ops, s->gtilde,
-                                     pcyclic::Pattern::AllDiagonals, tw->sel,
-                                     false);
-              if (tw->heavy) {
-                s->rows.release_blocks();
-                s->rows = selinv::wrap(*s->ops, s->gtilde,
-                                       pcyclic::Pattern::Rows, tw->sel, false);
-                s->cols.release_blocks();
-                s->cols = selinv::wrap(*s->ops, s->gtilde,
-                                       pcyclic::Pattern::Columns, tw->sel,
-                                       false);
-              }
+              for (pcyclic::SelectedInversion& r : s->fsi.results)
+                r.release_blocks();
+              const pcyclic::BlockOps ops(*s->mat);
+              s->fsi.results =
+                  selinv::fsi_multi(*s->mat, ops, s->fsi.patterns, fp64, unused);
             }
           },
           sched::Stage::Measure, hint);
@@ -317,25 +250,19 @@ std::vector<Measurements> run_fsi_batch(const HubbardModel& model,
     const sched::NodeId measure = graph.add_node(
         [&model, &results, tw, t](int) {
           FSI_OBS_SPAN("qmc.measure");
-          sched::recycle(std::move(tw->up.gtilde));
-          sched::recycle(std::move(tw->dn.gtilde));
-          Measurements& task_meas = results[static_cast<std::size_t>(t)];
-          task_meas.add_sample(1.0);
-          accumulate_equal_time(model.lattice(), tw->up.diag, tw->dn.diag,
-                                model.params().t, 1.0, false, task_meas);
-          if (tw->heavy)
-            accumulate_spxx(model.lattice(), tw->up.rows, tw->up.cols,
-                            tw->dn.rows, tw->dn.cols, 1.0, false, task_meas);
+          sched::recycle(std::move(tw->up.fsi.gtilde));
+          sched::recycle(std::move(tw->dn.fsi.gtilde));
+          measure_task(model, tw->up.fsi.results, tw->dn.fsi.results,
+                       tw->heavy, results[static_cast<std::size_t>(t)]);
           for (SpinWork* s : {&tw->up, &tw->dn}) {
-            s->diag.release_blocks();
-            s->rows.release_blocks();
-            s->cols.release_blocks();
+            for (pcyclic::SelectedInversion& r : s->fsi.results)
+              r.release_blocks();
             s->ops.reset();
             s->mat.reset();
           }
         },
         sched::Stage::Measure, hint);
-    if (mixed)
+    if constexpr (kMixed)
       graph.add_edge(gate_node, measure);
     else
       for (sched::NodeId id : fences) graph.add_edge(id, measure);
@@ -369,6 +296,17 @@ std::vector<Measurements> run_fsi_batch(const HubbardModel& model,
         mixed_fallbacks.load(std::memory_order_relaxed);
   }
   return results;
+}
+
+}  // namespace
+
+std::vector<Measurements> run_fsi_batch(const HubbardModel& model,
+                                        const std::vector<FsiBatchTask>& tasks,
+                                        const FsiBatchOptions& options,
+                                        SchedSummary* sched_out) {
+  if (options.precision == Precision::Mixed)
+    return run_batch<float>(model, tasks, options, sched_out);
+  return run_batch<double>(model, tasks, options, sched_out);
 }
 
 MultiGfResult run_parallel_fsi(const HubbardModel& model,
@@ -452,52 +390,31 @@ MultiGfResult run_parallel_fsi(const HubbardModel& model,
                              static_cast<std::uint64_t>(task) + 1);
           const index_t q =
               static_cast<index_t>(task_rng.below(static_cast<std::uint64_t>(c)));
-          const pcyclic::Selection sel(l, c, q);
           const bool heavy = static_cast<index_t>(task) < heavy_cutoff;
 
-          // Per spin: build M, CLS, BSOFI, then the wrapping passes; all
-          // intermediates cycle through the workspace pool.
-          struct SpinBlocks {
-            pcyclic::SelectedInversion diag, rows, cols;
-          };
+          // Per spin: build M, then the loop-shaped fp64 FSI pipeline;
+          // all intermediates cycle through the workspace pool.
+          selinv::FsiOptions fsi_opts;
+          fsi_opts.c = c;
+          fsi_opts.q = q;
+          fsi_opts.exec = selinv::FsiOptions::Exec::OmpLoops;
+          fsi_opts.precision = Precision::Fp64;
           auto compute = [&](Spin spin) {
             const pcyclic::PCyclicMatrix mat = model.build_m(field, spin);
             const pcyclic::BlockOps ops(mat);
-            pcyclic::PCyclicMatrix reduced = selinv::cluster(mat, c, q);
-            dense::Matrix gtilde = bsofi::invert(reduced);
-            reduced.release_blocks();
-            SpinBlocks blocks{
-                selinv::wrap(ops, gtilde, pcyclic::Pattern::AllDiagonals, sel),
-                pcyclic::SelectedInversion(pcyclic::Pattern::Rows,
-                                           mat.block_size(), sel),
-                pcyclic::SelectedInversion(pcyclic::Pattern::Columns,
-                                           mat.block_size(), sel)};
-            if (heavy) {
-              blocks.rows =
-                  selinv::wrap(ops, gtilde, pcyclic::Pattern::Rows, sel);
-              blocks.cols =
-                  selinv::wrap(ops, gtilde, pcyclic::Pattern::Columns, sel);
-            }
-            sched::recycle(std::move(gtilde));
-            return blocks;
+            return selinv::fsi_multi(mat, ops, task_patterns(heavy), fsi_opts,
+                                     task_rng);
           };
-          SpinBlocks up = compute(Spin::Up);
-          SpinBlocks dn = compute(Spin::Down);
+          std::vector<pcyclic::SelectedInversion> up = compute(Spin::Up);
+          std::vector<pcyclic::SelectedInversion> dn = compute(Spin::Down);
 
           // This task's measurement quantities.  Serial accumulation into a
           // per-task buffer keeps the floating-point summation order fixed.
           Measurements task_meas(l, dmax);
-          task_meas.add_sample(1.0);
-          accumulate_equal_time(model.lattice(), up.diag, dn.diag,
-                                model.params().t, 1.0, false, task_meas);
-          if (heavy)
-            accumulate_spxx(model.lattice(), up.rows, up.cols, dn.rows,
-                            dn.cols, 1.0, false, task_meas);
-          for (SpinBlocks* s : {&up, &dn}) {
-            s->diag.release_blocks();
-            s->rows.release_blocks();
-            s->cols.release_blocks();
-          }
+          measure_task(model, up, dn, heavy, task_meas);
+          for (auto* spin_blocks : {&up, &dn})
+            for (pcyclic::SelectedInversion& r : *spin_blocks)
+              r.release_blocks();
 
           done.push_back(static_cast<double>(task));
           const std::vector<double> payload = task_meas.serialize();

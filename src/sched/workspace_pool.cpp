@@ -24,12 +24,11 @@ WorkspacePool& WorkspacePool::global() {
 }
 
 template <typename T>
-dense::BasicMatrix<T> WorkspacePool::acquire_impl(Shard<T> (&shards)[kShards],
-                                                  index_t rows, index_t cols) {
+dense::BasicMatrix<T> WorkspacePool::acquire(index_t rows, index_t cols) {
   const std::size_t count =
       static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
   if (enabled_ && count > 0) {
-    Shard<T>& s = shard_for(shards, count);
+    Shard<T>& s = shard_for(shards<T>(), count);
     std::lock_guard<std::mutex> lock(s.mu);
     auto it = s.free.find(count);
     if (it != s.free.end() && !it->second.empty()) {
@@ -46,47 +45,37 @@ dense::BasicMatrix<T> WorkspacePool::acquire_impl(Shard<T> (&shards)[kShards],
   return dense::BasicMatrix<T>(rows, cols);
 }
 
+template dense::Matrix WorkspacePool::acquire<double>(index_t, index_t);
+template dense::MatrixF WorkspacePool::acquire<float>(index_t, index_t);
+
 template <typename T>
-void WorkspacePool::recycle_impl(Shard<T> (&shards)[kShards],
-                                 dense::BasicMatrix<T>&& m) {
+void WorkspacePool::recycle_impl(dense::BasicMatrix<T>&& m) {
   if (m.empty()) return;
   std::vector<T> buf = m.release_storage();
   if (!enabled_) return;  // buf frees here
   const std::size_t count = buf.size();
-  Shard<T>& s = shard_for(shards, count);
+  Shard<T>& s = shard_for(shards<T>(), count);
   std::lock_guard<std::mutex> lock(s.mu);
   if (s.bytes + count * sizeof(T) > max_bytes_ / kShards) return;
   s.bytes += count * sizeof(T);
   s.free[count].push_back(std::move(buf));
 }
 
-dense::Matrix WorkspacePool::acquire(index_t rows, index_t cols) {
-  return acquire_impl(shards_, rows, cols);
-}
-
-dense::MatrixF WorkspacePool::acquire_f(index_t rows, index_t cols) {
-  return acquire_impl(shards_f_, rows, cols);
-}
-
 dense::Matrix WorkspacePool::acquire_copy(dense::ConstMatrixView src) {
-  dense::Matrix out = acquire(src.rows(), src.cols());
+  dense::Matrix out = acquire<double>(src.rows(), src.cols());
   dense::copy(src, out.view());
   return out;
 }
 
-dense::MatrixF WorkspacePool::acquire_copy_f(dense::ConstMatrixViewF src) {
-  dense::MatrixF out = acquire_f(src.rows(), src.cols());
+dense::MatrixF WorkspacePool::acquire_copy(dense::ConstMatrixViewF src) {
+  dense::MatrixF out = acquire<float>(src.rows(), src.cols());
   dense::copy(src, out.view());
   return out;
 }
 
-void WorkspacePool::recycle(dense::Matrix&& m) {
-  recycle_impl(shards_, std::move(m));
-}
+void WorkspacePool::recycle(dense::Matrix&& m) { recycle_impl(std::move(m)); }
 
-void WorkspacePool::recycle(dense::MatrixF&& m) {
-  recycle_impl(shards_f_, std::move(m));
-}
+void WorkspacePool::recycle(dense::MatrixF&& m) { recycle_impl(std::move(m)); }
 
 double WorkspacePool::hit_rate() const {
   const std::uint64_t h = hits(), m = misses();

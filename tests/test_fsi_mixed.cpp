@@ -1,16 +1,20 @@
-/// Mixed-precision pipeline tests: the fp32 building blocks against their
-/// fp64 twins (BlockOpsF moves, cluster products), the health gate's
-/// accept/fallback behaviour, end-to-end mixed-vs-fp64 accuracy through
-/// both the single-call driver and the batched graph engine, and the
+/// Mixed-precision pipeline tests: the stages at T = float against
+/// T = double (BlockOpsF moves, cluster products, wraps), the health gate's
+/// accept/fallback behaviour and its determinism, end-to-end mixed-vs-fp64
+/// accuracy through both the single-call driver and the batched graph
+/// engine, the batch engine's per-task contract with fsi_multi, and the
 /// precision plumbing helpers.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "fsi/bsofi/bsofi.hpp"
+#include "fsi/dense/blas.hpp"
 #include "fsi/dense/norms.hpp"
 #include "fsi/obs/metrics.hpp"
 #include "fsi/pcyclic/adjacency.hpp"
@@ -52,7 +56,62 @@ pcyclic::PCyclicMatrix hubbard_matrix(index_t n, index_t l, double u,
   return model.build_m(field, qmc::Spin::Up);
 }
 
-// ---- fp32 building blocks vs their fp64 twins ----------------------------
+/// ||(M G - I) block||_max of one stored block of a Columns (block row k
+/// of column \p line, M G = I) or Rows (block column k of row \p line,
+/// G M = I) selection — probe_residual's formula at any position.
+double residual_at(const pcyclic::PCyclicMatrix& m,
+                   const pcyclic::SelectedInversion& s, index_t line,
+                   index_t k) {
+  const index_t n = m.block_size(), l = m.num_blocks();
+  const auto no = dense::Trans::No;
+  Matrix r;
+  if (s.pattern() == pcyclic::Pattern::Columns) {
+    r = Matrix::copy_of(s.at(k, line));
+    if (k >= 1)
+      dense::gemm(no, no, -1.0, m.b(k), s.at(k - 1, line), 1.0, r);
+    else
+      dense::gemm(no, no, 1.0, m.b(0), s.at(l - 1, line), 1.0, r);
+  } else {
+    r = Matrix::copy_of(s.at(line, k));
+    if (k + 1 < l)
+      dense::gemm(no, no, -1.0, s.at(line, k + 1), m.b(k + 1), 1.0, r);
+    else
+      dense::gemm(no, no, 1.0, s.at(line, 0), m.b(0), 1.0, r);
+  }
+  if (k == line)
+    for (index_t d = 0; d < n; ++d) r(d, d) -= 1.0;
+  return dense::max_abs(r.view());
+}
+
+/// The residual at every (line, k) position of a Columns/Rows selection.
+std::vector<double> residuals_everywhere(const pcyclic::PCyclicMatrix& m,
+                                         const pcyclic::SelectedInversion& s) {
+  std::vector<double> out;
+  for (const index_t line : s.selection().indices())
+    for (index_t k = 0; k < m.num_blocks(); ++k)
+      out.push_back(residual_at(m, s, line, k));
+  return out;
+}
+
+/// The \p fraction quantile of \p v (0.5 = median).
+double quantile(std::vector<double> v, double fraction) {
+  const auto i = static_cast<std::size_t>(fraction * (v.size() - 1));
+  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(i),
+                   v.end());
+  return v[i];
+}
+
+/// A gate that accepts any finite fp32 run.
+constexpr selinv::MixedGate kAcceptAll{
+    std::numeric_limits<double>::infinity(),
+    std::numeric_limits<double>::infinity()};
+
+const pcyclic::Pattern kAllPatterns[] = {
+    pcyclic::Pattern::Diagonal, pcyclic::Pattern::SubDiagonal,
+    pcyclic::Pattern::Columns, pcyclic::Pattern::Rows,
+    pcyclic::Pattern::AllDiagonals};
+
+// ---- fp32 stages vs the same stages at fp64 ------------------------------
 
 TEST(BlockOpsF, EveryMoveMatchesFp64TwinAtEveryPosition) {
   // All four moves at every (k, l) — covers the twelve boundary cases
@@ -90,17 +149,39 @@ TEST(ClusterMixed, ProductsAndReducedMatrixMatchFp64) {
 
   const index_t b = l / c;
   for (index_t i = 0; i < b; ++i) {
-    MatrixF prod_f = selinv::cluster_product_f(m, c, q, i);
+    MatrixF prod_f = selinv::cluster_product<float>(m, c, q, i);
     Matrix prod = selinv::cluster_product(m, c, q, i);
     expect_close(dense::promoted(prod_f.view()), prod, kFloatTol,
                  "cluster product");
   }
 
-  pcyclic::PCyclicMatrix red_mixed = selinv::cluster_mixed(m, c, q);
+  pcyclic::PCyclicMatrix red_mixed = selinv::cluster<float>(m, c, q);
   pcyclic::PCyclicMatrix red = selinv::cluster(m, c, q);
   ASSERT_EQ(red_mixed.num_blocks(), red.num_blocks());
   for (index_t i = 0; i < red.num_blocks(); ++i)
     expect_close(red_mixed.b(i), red.b(i), kFloatTol, "reduced block");
+}
+
+TEST(WrapMixed, EveryPatternMatchesFp64WithinFloatTolerance) {
+  // wrap<float> from the demoted reduced inverse against wrap<double> from
+  // the same fp64 one: the walks, stores and boundary cases of all five
+  // patterns are the one templated wrap_seed at both scalars.
+  const index_t n = 6, l = 12, c = 3, q = 2;
+  pcyclic::PCyclicMatrix m = hubbard_matrix(n, l, 2.0, 1.0, 0xC3);
+  const pcyclic::Selection sel(l, c, q);
+  const Matrix gtilde = bsofi::invert(selinv::cluster(m, c, q));
+  const MatrixF gtilde_f = dense::demoted(gtilde.view());
+  const pcyclic::BlockOps ops(m);
+  const pcyclic::BlockOpsF ops_f(m);
+
+  for (const auto pattern : kAllPatterns) {
+    SCOPED_TRACE(pcyclic::pattern_name(pattern));
+    const auto ref = selinv::wrap(ops, gtilde, pattern, sel);
+    const auto got = selinv::wrap(ops_f, gtilde_f, pattern, sel);
+    ASSERT_EQ(got.size(), ref.size());
+    for (const auto& [k, col] : ref.keys())
+      expect_close(got.at(k, col), ref.at(k, col), kFloatTol, "wrap block");
+  }
 }
 
 TEST(MixedGateHelpers, Cond1AndResidualProbeAreSane) {
@@ -132,8 +213,7 @@ TEST(FsiMixed, SelectedBlocksWithinToleranceOfFp64) {
   const index_t n = 6, l = 12, c = 3;
   pcyclic::PCyclicMatrix m = hubbard_matrix(n, l, 2.0, 1.0, 0xE1);
 
-  for (auto pattern : {pcyclic::Pattern::AllDiagonals,
-                       pcyclic::Pattern::Columns, pcyclic::Pattern::Rows}) {
+  for (auto pattern : kAllPatterns) {
     selinv::FsiOptions opts;
     opts.c = c;
     opts.q = 1;
@@ -195,6 +275,46 @@ TEST(FsiMixed, ForcedFallbackReturnsFp64ResultAndCounts) {
   ASSERT_EQ(got.size(), ref.size());
   for (const auto& [k, col] : ref.keys())
     expect_close(got.at(k, col), ref.at(k, col), 0.0, "fallback block");
+}
+
+TEST(FsiMixed, RepeatedIdenticalCallsGiveOneVerdict) {
+  // The gate probes positions fixed by the call's inputs.  With resid_max
+  // at the median of the fp32 result's residuals over every position —
+  // where a probe that wandered across calls would flip the verdict —
+  // identical calls must still keep fp32, or fall back, every time.
+  GateGuard guard;
+  qmc::HubbardParams p;
+  p.u = 4.0;
+  p.beta = 4.0;
+  p.l = 12;
+  const qmc::HubbardModel model(qmc::Lattice::chain(6), p);
+  util::Rng field_rng(0xB1);
+  const pcyclic::PCyclicMatrix m =
+      model.build_m(qmc::HsField(p.l, 6, field_rng), qmc::Spin::Up);
+
+  selinv::FsiOptions opts;
+  opts.c = 4;
+  opts.q = 1;
+  opts.pattern = pcyclic::Pattern::Columns;
+  opts.precision = Precision::Mixed;
+
+  selinv::set_mixed_gate(kAcceptAll);
+  util::Rng rng(1);
+  const auto fp32 = selinv::fsi(m, opts, rng);
+  const std::vector<double> resid = residuals_everywhere(m, fp32);
+  const double threshold = quantile(resid, 0.5);
+  ASSERT_LT(*std::min_element(resid.begin(), resid.end()), threshold);
+  ASSERT_GT(*std::max_element(resid.begin(), resid.end()), threshold);
+
+  selinv::set_mixed_gate({threshold, selinv::MixedGate{}.cond_max});
+  std::vector<Precision> verdicts;
+  for (int call = 0; call < 12; ++call) {
+    selinv::FsiStats stats;
+    (void)selinv::fsi(m, opts, rng, &stats);
+    verdicts.push_back(stats.precision_used);
+  }
+  for (int call = 1; call < 12; ++call)
+    EXPECT_EQ(verdicts[call], verdicts[0]) << "call " << call;
 }
 
 // ---- end-to-end: batched graph engine ------------------------------------
@@ -274,6 +394,134 @@ TEST(FsiMixedBatch, ForcedFallbackRecomputesEveryTaskInFp64) {
     for (std::size_t i = 0; i < r.size(); ++i)
       EXPECT_NEAR(g[i], r[i], 1e-12 * (1.0 + std::abs(r[i])))
           << "task " << t << " measurement " << i;
+  }
+}
+
+TEST(FsiMixedBatch, BitIdenticalAcrossRepeatedRunsAndWorkerCounts) {
+  // A mixed batch whose gate threshold sits inside the spread of its probed
+  // residuals: the per-task verdicts, and so the measurements, must not
+  // depend on run order or worker count.
+  GateGuard guard;
+  qmc::HubbardParams p;
+  p.u = 4.0;
+  p.beta = 4.0;
+  p.l = 12;
+  const qmc::HubbardModel model(qmc::Lattice::chain(6), p);
+  const index_t c = 4;
+  std::vector<qmc::FsiBatchTask> tasks;
+  for (int i = 0; i < 4; ++i) {
+    util::Rng rng(200 + static_cast<std::uint64_t>(i));
+    tasks.push_back(qmc::FsiBatchTask{qmc::HsField(p.l, 6, rng), i % c, true});
+  }
+
+  // Residuals of every task's accepted fp32 Rows/Columns, every position.
+  selinv::set_mixed_gate(kAcceptAll);
+  std::vector<double> resid;
+  for (const auto& task : tasks) {
+    for (const auto spin : {qmc::Spin::Up, qmc::Spin::Down}) {
+      const pcyclic::PCyclicMatrix m = model.build_m(task.field, spin);
+      const pcyclic::BlockOps ops(m);
+      selinv::FsiOptions opts;
+      opts.c = c;
+      opts.q = task.q;
+      opts.precision = Precision::Mixed;
+      util::Rng rng(1);
+      for (const auto& s :
+           selinv::fsi_multi(m, ops, {pcyclic::Pattern::Rows,
+                                      pcyclic::Pattern::Columns},
+                             opts, rng)) {
+        const auto r = residuals_everywhere(m, s);
+        resid.insert(resid.end(), r.begin(), r.end());
+      }
+    }
+  }
+  selinv::set_mixed_gate({quantile(resid, 0.9), selinv::MixedGate{}.cond_max});
+
+  qmc::FsiBatchOptions opts;
+  opts.cluster_size = c;
+  opts.precision = Precision::Mixed;
+  opts.num_workers = 1;
+  const auto first = qmc::run_fsi_batch(model, tasks, opts);
+  for (const int workers : {1, 2, 4}) {
+    opts.num_workers = workers;
+    for (int run = 0; run < 3; ++run) {
+      const auto got = qmc::run_fsi_batch(model, tasks, opts);
+      ASSERT_EQ(got.size(), first.size());
+      for (std::size_t t = 0; t < first.size(); ++t)
+        EXPECT_EQ(got[t].serialize(), first[t].serialize())
+            << "workers=" << workers << " run=" << run << " task=" << t;
+    }
+  }
+}
+
+// ---- run_fsi_batch's per-task contract -----------------------------------
+
+/// What run_fsi_batch documents for one task: fsi_multi on the task's two
+/// matrices, then the measurement accumulators.  A mixed task is gated as
+/// a whole, so when either spin falls back both spins are fp64.
+qmc::Measurements fsi_multi_reference(const qmc::HubbardModel& model,
+                                      const qmc::FsiBatchTask& task,
+                                      index_t c, Precision precision) {
+  std::vector<pcyclic::Pattern> patterns{pcyclic::Pattern::AllDiagonals};
+  if (task.heavy) {
+    patterns.push_back(pcyclic::Pattern::Rows);
+    patterns.push_back(pcyclic::Pattern::Columns);
+  }
+  const pcyclic::PCyclicMatrix m_up = model.build_m(task.field, qmc::Spin::Up);
+  const pcyclic::PCyclicMatrix m_dn =
+      model.build_m(task.field, qmc::Spin::Down);
+  const pcyclic::BlockOps ops_up(m_up), ops_dn(m_dn);
+  selinv::FsiOptions opts;
+  opts.c = c;
+  opts.q = task.q;
+  opts.precision = precision;
+  util::Rng rng(1);
+  selinv::FsiStats stats_up, stats_dn;
+  auto up = selinv::fsi_multi(m_up, ops_up, patterns, opts, rng, &stats_up);
+  auto dn = selinv::fsi_multi(m_dn, ops_dn, patterns, opts, rng, &stats_dn);
+  if (stats_up.mixed_fallback || stats_dn.mixed_fallback) {
+    opts.precision = Precision::Fp64;
+    up = selinv::fsi_multi(m_up, ops_up, patterns, opts, rng);
+    dn = selinv::fsi_multi(m_dn, ops_dn, patterns, opts, rng);
+  }
+  qmc::Measurements meas(model.params().l,
+                         model.lattice().num_distance_classes());
+  meas.add_sample(1.0);
+  qmc::accumulate_equal_time(model.lattice(), up[0], dn[0], model.params().t,
+                             1.0, false, meas);
+  if (task.heavy)
+    qmc::accumulate_spxx(model.lattice(), up[1], up[2], dn[1], dn[2], 1.0,
+                         false, meas);
+  return meas;
+}
+
+TEST(FsiBatch, EachTaskEqualsFsiMultiPlusAccumulators) {
+  qmc::HubbardParams p;
+  p.u = 2.0;
+  p.beta = 1.0;
+  p.l = 8;
+  const qmc::HubbardModel model(qmc::Lattice::chain(4), p);
+  const index_t c = 2;
+  auto tasks = make_tasks(model, 3);
+  tasks[1].heavy = false;  // one equal-time-only task
+
+  for (const auto precision : {Precision::Fp64, Precision::Mixed}) {
+    std::vector<std::vector<double>> expect;
+    for (const auto& task : tasks)
+      expect.push_back(
+          fsi_multi_reference(model, task, c, precision).serialize());
+    for (const int workers : {1, 4}) {
+      qmc::FsiBatchOptions opts;
+      opts.cluster_size = c;
+      opts.num_workers = workers;
+      opts.precision = precision;
+      const auto got = qmc::run_fsi_batch(model, tasks, opts);
+      ASSERT_EQ(got.size(), tasks.size());
+      for (std::size_t t = 0; t < tasks.size(); ++t)
+        EXPECT_EQ(got[t].serialize(), expect[t])
+            << precision_name(precision) << " workers=" << workers
+            << " task=" << t;
+    }
   }
 }
 

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "fsi/dense/norms.hpp"
+#include "fsi/obs/env.hpp"
+#include "fsi/obs/metrics.hpp"
 #include "fsi/pcyclic/explicit_inverse.hpp"
 #include "fsi/selinv/fsi.hpp"
 #include "testing.hpp"
@@ -101,6 +105,57 @@ TEST(FsiMulti, GraphExecutorBitIdenticalToOmpLoops) {
   EXPECT_GT(stats_graph.seconds_cls, 0.0);
   EXPECT_GT(stats_graph.seconds_bsofi, 0.0);
   EXPECT_GT(stats_graph.seconds_wrap, 0.0);
+  EXPECT_EQ(stats_graph.flops_cls, stats_loops.flops_cls);
+  EXPECT_EQ(stats_graph.flops_bsofi, stats_loops.flops_bsofi);
+  EXPECT_EQ(stats_graph.flops_wrap, stats_loops.flops_wrap);
+}
+
+TEST(FsiMulti, MixedGraphExecutorBitIdenticalToOmpLoops) {
+  // A Mixed call runs the same templated pipeline at T = float in either
+  // execution shape, and on default options it takes the graph executor.
+  const selinv::MixedGate saved = selinv::mixed_gate();
+  selinv::set_mixed_gate({std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::infinity()});
+  util::Rng rng(96);
+  PCyclicMatrix m = PCyclicMatrix::random(5, 12, rng);
+  pcyclic::BlockOps ops(m);
+  const std::vector<pcyclic::Pattern> patterns{
+      pcyclic::Pattern::AllDiagonals, pcyclic::Pattern::Rows,
+      pcyclic::Pattern::Columns};
+
+  selinv::FsiOptions loops;
+  loops.c = 4;
+  loops.precision = Precision::Mixed;
+  loops.exec = selinv::FsiOptions::Exec::OmpLoops;
+  util::Rng rng_loops(7);
+  selinv::FsiStats stats_loops;
+  const auto ref =
+      selinv::fsi_multi(m, ops, patterns, loops, rng_loops, &stats_loops);
+
+  selinv::FsiOptions defaults = loops;
+  defaults.exec = selinv::FsiOptions::Exec::Auto;
+  const auto nodes_before =
+      obs::metrics::total(obs::metrics::Counter::ExecNodes);
+  util::Rng rng_graph(7);
+  selinv::FsiStats stats_graph;
+  const auto got =
+      selinv::fsi_multi(m, ops, patterns, defaults, rng_graph, &stats_graph);
+  if (obs::env_flag("FSI_EXEC", true)) {
+    EXPECT_GT(obs::metrics::total(obs::metrics::Counter::ExecNodes),
+              nodes_before);
+  }
+  selinv::set_mixed_gate(saved);
+
+  EXPECT_EQ(stats_loops.precision_used, Precision::Mixed);
+  EXPECT_EQ(stats_graph.precision_used, Precision::Mixed);
+  EXPECT_EQ(stats_graph.q, stats_loops.q);
+  ASSERT_EQ(got.size(), ref.size());
+  for (std::size_t p = 0; p < patterns.size(); ++p) {
+    ASSERT_EQ(got[p].size(), ref[p].size());
+    for (const auto& [k, col] : ref[p].keys())
+      expect_close(got[p].at(k, col), ref[p].at(k, col), 0.0,
+                   pcyclic::pattern_name(patterns[p]));
+  }
   EXPECT_EQ(stats_graph.flops_cls, stats_loops.flops_cls);
   EXPECT_EQ(stats_graph.flops_bsofi, stats_loops.flops_bsofi);
   EXPECT_EQ(stats_graph.flops_wrap, stats_loops.flops_wrap);
