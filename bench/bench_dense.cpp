@@ -14,7 +14,6 @@
 #include "fsi/dense/qr.hpp"
 #include "fsi/obs/telemetry.hpp"
 #include "fsi/pcyclic/adjacency.hpp"
-#include "fsi/sched/workspace_pool.hpp"
 #include "fsi/util/rng.hpp"
 
 namespace {
@@ -138,8 +137,7 @@ BENCHMARK(BM_Ger)->Arg(400);
 
 void BM_AdjacencyMove(benchmark::State& state) {
   // One WRP step, G(k-1, l) = B_k^-1 G(k, l) (up) or G(k+1, l) = B_{k+1}
-  // G(k, l) (down), from a generic off-diagonal position; outputs go back
-  // to the workspace pool as the FSI walks do.
+  // G(k, l) (down), from a generic off-diagonal position.
   const index_t n = static_cast<index_t>(state.range(0));
   const bool up = state.range(1) == 0;
   util::Rng rng(11);
@@ -150,7 +148,6 @@ void BM_AdjacencyMove(benchmark::State& state) {
     Matrix out = up ? ops.up(3, 5, g) : ops.down(3, 5, g);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
-    sched::recycle(std::move(out));
   }
   state.SetLabel(up ? "up" : "down");
   state.counters["GFLOPS"] = benchmark::Counter(

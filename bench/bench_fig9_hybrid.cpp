@@ -119,35 +119,30 @@ int main(int argc, char** argv) {
               "%.2f Gflops aggregate, <n> = %.3f, sign = %.1f\n",
               opt.num_matrices, demo_ranks, r.gflops(), r.global.density(),
               r.global.avg_sign());
-  std::printf("  scheduler: %llu steal batches, %llu tasks migrated, "
-              "pool hit rate %.0f%% (first batch includes warmup misses)\n\n",
+  std::printf("  scheduler: %llu steal batches, %llu tasks migrated\n\n",
               static_cast<unsigned long long>(r.sched.steal_batches),
-              static_cast<unsigned long long>(r.sched.stolen_tasks),
-              100.0 * r.sched.pool_hit_rate());
+              static_cast<unsigned long long>(r.sched.stolen_tasks));
 
   // (d) scheduler A/B on a skewed batch: only the leading quarter of the
   // tasks computes the Rows/Columns passes, so the contiguous static split
   // overloads the low ranks.  One warmup batch first, so both timed runs
-  // draw their workspaces from a populated pool.
+  // start with warm executor threads and caches.
   qmc::MultiGfOptions skew = opt;
   skew.num_matrices = demo_ranks * 4;
   skew.heavy_fraction = 0.25;
   skew.schedule = qmc::Schedule::WorkStealing;
-  (void)qmc::run_parallel_fsi(model, skew);  // pool + cache warmup
+  (void)qmc::run_parallel_fsi(model, skew);  // thread + cache warmup
   const qmc::MultiGfResult steal = qmc::run_parallel_fsi(model, skew);
   skew.schedule = qmc::Schedule::Static;
   const qmc::MultiGfResult stat = qmc::run_parallel_fsi(model, skew);
 
-  util::Table ab({"schedule", "wall (s)", "balance max/mean", "steals",
-                  "pool hit rate"});
+  util::Table ab({"schedule", "wall (s)", "balance max/mean", "steals"});
   ab.add_row({"static split", util::Table::num(stat.seconds, 3),
               util::Table::num(stat.sched.balance(), 2),
-              util::Table::num((long long)stat.sched.stolen_tasks),
-              util::Table::num(stat.sched.pool_hit_rate(), 3)});
+              util::Table::num((long long)stat.sched.stolen_tasks)});
   ab.add_row({"work stealing", util::Table::num(steal.seconds, 3),
               util::Table::num(steal.sched.balance(), 2),
-              util::Table::num((long long)steal.sched.stolen_tasks),
-              util::Table::num(steal.sched.pool_hit_rate(), 3)});
+              util::Table::num((long long)steal.sched.stolen_tasks)});
   std::printf("scheduler A/B on a skewed batch (%d matrices, heavy fraction "
               "%.2f, %d ranks):\n",
               skew.num_matrices, skew.heavy_fraction, demo_ranks);
@@ -203,8 +198,6 @@ int main(int argc, char** argv) {
   telemetry.add_info("demo_ranks", static_cast<double>(demo_ranks));
   telemetry.add_metric("fsi_efficiency_vs_dgemm", fsi_efficiency, "ratio");
   telemetry.add_metric("demo_aggregate_gflops", r.gflops(), "gflops");
-  telemetry.add_metric("sched_pool_hit_rate", steal.sched.pool_hit_rate(),
-                       "ratio");
   telemetry.add_metric("sched_balance_static", stat.sched.balance(), "ratio",
                        false, false);
   telemetry.add_metric("sched_balance_stealing", steal.sched.balance(),

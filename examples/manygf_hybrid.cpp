@@ -66,7 +66,6 @@ int main(int argc, char** argv) {
   t.add_row({"steal batches", util::Table::num((long long)r.sched.steal_batches)});
   t.add_row({"tasks migrated", util::Table::num((long long)r.sched.stolen_tasks)});
   t.add_row({"balance (max/mean busy)", util::Table::num(r.sched.balance(), 2)});
-  t.add_row({"pool hit rate", util::Table::num(r.sched.pool_hit_rate(), 3)});
   t.print();
   return 0;
 }

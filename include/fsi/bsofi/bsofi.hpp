@@ -53,12 +53,6 @@ class Bsofi {
   /// R_{i,b-1} for i in [0, b-2) — test access (empty when b < 3).
   const Matrix& r_last(index_t i) const;
 
-  /// Recycle the factorisation's storage (panels, R blocks) into the global
-  /// workspace pool.  The object is dead afterwards — call only when no
-  /// further inverse()/r_*() access is needed (the batched drivers call it
-  /// as soon as the inverse has been formed).
-  void release_workspace();
-
  private:
   index_t n_ = 0, b_ = 0;
   // Panel i (i < b-1): packed 2N x N Householder factors of

@@ -127,13 +127,6 @@ class BasicMatrix {
   BasicMatrix(index_t rows, index_t cols)
       : rows_(rows), cols_(cols), data_(checked_count(rows, cols)) {}
 
-  /// rows x cols matrix reusing \p storage's capacity (the workspace-pool
-  /// path); contents are zero-initialised like the plain constructor.
-  BasicMatrix(index_t rows, index_t cols, std::vector<T>&& storage)
-      : rows_(rows), cols_(cols), data_(std::move(storage)) {
-    data_.assign(checked_count(rows, cols), T(0));
-  }
-
   /// n x n identity.
   static BasicMatrix identity(index_t n) {
     BasicMatrix m(n, n);
@@ -183,15 +176,6 @@ class BasicMatrix {
 
   /// Memory footprint in bytes (used by the Edison node memory model).
   std::size_t bytes() const { return data_.size() * sizeof(T); }
-
-  /// Move the underlying storage out (to a workspace pool), leaving an
-  /// empty 0 x 0 matrix.
-  std::vector<T> release_storage() {
-    std::vector<T> out = std::move(data_);
-    data_.clear();  // moved-from state is unspecified; make it definitely empty
-    rows_ = cols_ = 0;
-    return out;
-  }
 
  private:
   /// Validated element count: dimensions non-negative and rows*cols

@@ -34,8 +34,11 @@ enum class Counter : int {
   KernelCalls,     ///< dense kernel invocations (gemm/trsm/ormqr/...)
   MpiMessages,     ///< mini-MPI point-to-point messages sent
   MpiBytes,        ///< mini-MPI point-to-point payload bytes sent
-  PoolHits,        ///< workspace-pool acquires served from the free lists
-  PoolMisses,      ///< workspace-pool acquires that fell through to malloc
+  // PoolHits/PoolMisses are never incremented: the workspace pool is
+  // deleted.  They remain only until a benchmark PR drops perfbench's pool
+  // rows, which read them.
+  PoolHits,        ///< always 0 (see above)
+  PoolMisses,      ///< always 0 (see above)
   SchedTasks,      ///< batch-scheduler tasks executed
   SchedSteals,     ///< successful steal-half operations
   ExecNodes,       ///< task-graph nodes executed by the executor

@@ -85,12 +85,6 @@ class SelectedInversion {
   /// Bytes of block storage (for the memory-reduction experiments).
   std::size_t bytes() const;
 
-  /// Recycle every stored block's storage into the global workspace pool,
-  /// leaving the container empty-shaped.  Consumers call this once the
-  /// measurements that read the blocks are accumulated, so the next FSI
-  /// call in a batch reuses the memory.
-  void release_blocks();
-
  private:
   dense::index_t slot_index(dense::index_t k, dense::index_t l) const;
 

@@ -68,11 +68,6 @@ class PCyclicMatrix {
   /// Storage footprint of the B blocks in bytes.
   std::size_t bytes() const;
 
-  /// Recycle every block's storage into the global workspace pool, leaving
-  /// the blocks empty.  Call when the numeric content is dead (e.g. the
-  /// reduced matrix once BSOFI has consumed it in a batched run).
-  void release_blocks();
-
  private:
   index_t n_ = 0, l_ = 0;
   std::vector<Matrix> blocks_;

@@ -66,14 +66,12 @@ struct MultiGfOptions {
   std::uint64_t seed = 99;
 };
 
-/// Scheduler + workspace-pool telemetry of one run_parallel_fsi call.
+/// Scheduler telemetry of one run_parallel_fsi call.
 struct SchedSummary {
   int workers = 0;                  ///< mini-MPI ranks driving the batch
   std::uint32_t tasks = 0;          ///< matrices scheduled
   std::uint64_t steal_batches = 0;  ///< successful steals across all ranks
   std::uint64_t stolen_tasks = 0;   ///< tasks that migrated via stealing
-  std::uint64_t pool_hits = 0;      ///< workspace-pool hits during the run
-  std::uint64_t pool_misses = 0;    ///< workspace-pool misses during the run
   double busy_max_seconds = 0.0;    ///< busiest rank's in-task wall time
   double busy_mean_seconds = 0.0;   ///< mean in-task wall time per rank
   std::vector<double> busy_seconds; ///< per-worker in-task wall time
@@ -97,19 +95,13 @@ struct SchedSummary {
     return busy_mean_seconds > 0.0 ? busy_max_seconds / busy_mean_seconds
                                    : 1.0;
   }
-  /// hits / (hits + misses), or 0 when nothing was acquired.
-  double pool_hit_rate() const {
-    const double total =
-        static_cast<double>(pool_hits) + static_cast<double>(pool_misses);
-    return total > 0.0 ? static_cast<double>(pool_hits) / total : 0.0;
-  }
 };
 
 struct MultiGfResult {
   Measurements global;     ///< merged over all ranks, ascending task order
   double seconds = 0.0;    ///< wall time of the parallel region
   std::uint64_t flops = 0; ///< dense-kernel flops across all ranks/threads
-  SchedSummary sched;      ///< scheduler + pool telemetry
+  SchedSummary sched;      ///< scheduler telemetry
   double gflops() const { return seconds > 0 ? flops / seconds * 1e-9 : 0.0; }
 };
 

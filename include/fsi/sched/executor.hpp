@@ -135,7 +135,7 @@ class Executor {
 
   /// The process-wide pool, created on first use and deliberately leaked
   /// (workers park on a condition variable; joining at static destruction
-  /// would race user code, exactly as with WorkspacePool::global()).
+  /// would race user code).
   static Executor& instance();
 
   /// Dispatch body(0), ..., body(n-1) onto n distinct pool workers, block

@@ -112,8 +112,8 @@ pcyclic::PCyclicMatrix cluster(const pcyclic::PCyclicMatrix& m, index_t c,
 
 /// One cluster product B~_i at scalar T — the body of one CLS loop
 /// iteration / graph node.  At T = float each B block is demoted on the fly
-/// (O(N^2) against the O(cN^3) chain).  Pool-backed; safe to call
-/// concurrently for distinct \p i.
+/// (O(N^2) against the O(cN^3) chain).  Safe to call concurrently for
+/// distinct \p i.
 template <typename T = double>
 dense::BasicMatrix<T> cluster_product(const pcyclic::PCyclicMatrix& m,
                                       index_t c, index_t q, index_t i);
@@ -220,10 +220,11 @@ std::vector<pcyclic::SelectedInversion> fsi_multi(
 /// parts of it:
 ///   - cluster node i writes cls_blocks[i] (promoted to fp64);
 ///   - the BSOFI node assembles the reduced matrix from cls_blocks
-///     (recycling them), writes gtilde, cond1 (T = float only), the empty
-///     results and the stage flop fences;
+///     (freeing them once inverted), writes gtilde, cond1 (T = float
+///     only), the empty results and the stage flop fences;
 ///   - wrap node (p, seed) writes disjoint slots of results[p].
-/// After the run the caller recycles gtilde and harvests results.
+/// After the run the caller harvests results; gtilde is freed with the
+/// task, or earlier by assigning {} to it.
 template <typename T>
 struct FsiGraphTask {
   const pcyclic::PCyclicMatrix* m = nullptr;
@@ -271,9 +272,11 @@ FsiEmit emit_fsi_tasks(sched::TaskGraph& graph, FsiGraphTask<T>& task,
 /// nullptr when \p gate accepts it, else the first failing check —
 /// "cond1" (task.cond1 above cond_max), "nonfinite" (NaN/Inf in the demoted
 /// reduced inverse) or "residual" (a probe_residual of a stored pattern
-/// above resid_max, or NaN).  Probed residuals stream into the health
-/// monitor.  fsi_multi and qmc::run_fsi_batch's per-task gate node both
-/// decide through this one function.
+/// above resid_max, or NaN).  The probed residuals of an accepted result
+/// stream into the health monitor; a rejected one's do not, since the
+/// caller gets the fp64 fallback's answer instead.  fsi_multi and
+/// qmc::run_fsi_batch's per-task gate node both decide through this one
+/// function.
 const char* mixed_gate_verdict(const FsiGraphTask<float>& task,
                                const MixedGate& gate);
 

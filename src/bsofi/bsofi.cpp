@@ -8,7 +8,6 @@
 #include "fsi/dense/qr.hpp"
 #include "fsi/obs/health.hpp"
 #include "fsi/obs/trace.hpp"
-#include "fsi/sched/workspace_pool.hpp"
 #include "fsi/util/timer.hpp"
 
 namespace fsi::bsofi {
@@ -27,8 +26,7 @@ Bsofi::Bsofi(const pcyclic::PCyclicMatrix& m)
 
   if (b == 1) {
     // Degenerate p-cyclic matrix: M = I + B_1; a single QR.
-    Matrix p = sched::acquire(n, n);
-    dense::set_identity(p);
+    Matrix p = Matrix::identity(n);
     dense::axpby(1.0, p, m.b(0));
     std::vector<double> tau;
     dense::geqrf(p, tau);
@@ -38,17 +36,14 @@ Bsofi::Bsofi(const pcyclic::PCyclicMatrix& m)
   }
 
   // Carry blocks: x = current (i, i) fill, y = current (i, b-1) fill.
-  // All workspaces come from the pool: a batched run re-factors thousands
-  // of same-shape reduced matrices, and these buffers recycle across calls.
-  Matrix x = sched::acquire(n, n);
-  dense::set_identity(x);
-  Matrix y = sched::acquire_copy(m.b(0));  // the +B_1 corner block
+  Matrix x = Matrix::identity(n);
+  Matrix y = Matrix::copy_of(m.b(0));  // the +B_1 corner block
 
   for (index_t i = 0; i + 1 < b; ++i) {
     const bool last_panel = (i + 2 == b);
 
     // Panel = [x; -B_{i+2}] (paper indices; 0-based block b(i+1)).
-    Matrix panel = sched::acquire(2 * n, n);
+    Matrix panel(2 * n, n);
     dense::copy(x, panel.block(0, 0, n, n));
     {
       MatrixView bottom = panel.block(n, 0, n, n);
@@ -61,32 +56,26 @@ Bsofi::Bsofi(const pcyclic::PCyclicMatrix& m)
 
     if (!last_panel) {
       // Column i+1 currently holds [0; I] in rows (i, i+1).
-      Matrix col_next = sched::acquire(2 * n, n);
+      Matrix col_next(2 * n, n);
       dense::set_identity(col_next.block(n, 0, n, n));
       dense::ormqr(Side::Left, Trans::Yes, panel, tau, col_next);
-      rsup_.push_back(sched::acquire_copy(col_next.block(0, 0, n, n)));
-      sched::recycle(std::move(x));
-      x = sched::acquire_copy(col_next.block(n, 0, n, n));
-      sched::recycle(std::move(col_next));
+      rsup_.push_back(Matrix::copy_of(col_next.block(0, 0, n, n)));
+      x = Matrix::copy_of(col_next.block(n, 0, n, n));
 
       // Last column holds [y; 0] in rows (i, i+1).
-      Matrix col_last = sched::acquire(2 * n, n);
+      Matrix col_last(2 * n, n);
       dense::copy(y, col_last.block(0, 0, n, n));
       dense::ormqr(Side::Left, Trans::Yes, panel, tau, col_last);
-      rlast_.push_back(sched::acquire_copy(col_last.block(0, 0, n, n)));
-      sched::recycle(std::move(y));
-      y = sched::acquire_copy(col_last.block(n, 0, n, n));
-      sched::recycle(std::move(col_last));
+      rlast_.push_back(Matrix::copy_of(col_last.block(0, 0, n, n)));
+      y = Matrix::copy_of(col_last.block(n, 0, n, n));
     } else {
       // i = b-2: the next column IS the last column, holding [y; I].
-      Matrix col = sched::acquire(2 * n, n);
+      Matrix col(2 * n, n);
       dense::copy(y, col.block(0, 0, n, n));
       dense::set_identity(col.block(n, 0, n, n));
       dense::ormqr(Side::Left, Trans::Yes, panel, tau, col);
-      rsup_.push_back(sched::acquire_copy(col.block(0, 0, n, n)));
-      sched::recycle(std::move(x));
-      x = sched::acquire_copy(col.block(n, 0, n, n));
-      sched::recycle(std::move(col));
+      rsup_.push_back(Matrix::copy_of(col.block(0, 0, n, n)));
+      x = Matrix::copy_of(col.block(n, 0, n, n));
     }
 
     panels_.push_back(std::move(panel));
@@ -98,7 +87,6 @@ Bsofi::Bsofi(const pcyclic::PCyclicMatrix& m)
   dense::geqrf(x, tau);
   panels_.push_back(std::move(x));
   taus_.push_back(std::move(tau));
-  sched::recycle(std::move(y));
 }
 
 Matrix Bsofi::r_diag(index_t i) const {
@@ -123,7 +111,7 @@ const Matrix& Bsofi::r_last(index_t i) const {
 Matrix Bsofi::inverse() const {
   const index_t n = n_, b = b_;
   const index_t dim = n * b;
-  Matrix g = sched::acquire(dim, dim);
+  Matrix g(dim, dim);
 
   // ---- Stage 1: G := R^-1 (block upper triangular back-substitution). ----
   // Column j of R^-1: X_jj = R_jj^-1; X_ij = -R_ii^-1 (R_{i,i+1} X_{i+1,j}
@@ -174,7 +162,7 @@ Matrix Bsofi::inverse_block_row(index_t k0) const {
   // Row k0 of X = R^-1 from X R = I, solved left-to-right:
   //   X_{k0,j} R_jj = delta_{k0,j} I - X_{k0,j-1} R_{j-1,j}
   //                   - [j == b-1] sum_{p <= b-3} X_{k0,p} R_{p,b-1}.
-  Matrix row = sched::acquire(n, dim);
+  Matrix row(n, dim);
   {
     MatrixView xkk = row.block(0, k0 * n, n, n);
     dense::set_identity(xkk);
@@ -205,20 +193,8 @@ Matrix Bsofi::inverse_block_row(index_t k0) const {
   return row;
 }
 
-void Bsofi::release_workspace() {
-  for (Matrix& p : panels_) sched::recycle(std::move(p));
-  for (Matrix& r : rsup_) sched::recycle(std::move(r));
-  for (Matrix& r : rlast_) sched::recycle(std::move(r));
-  panels_.clear();
-  rsup_.clear();
-  rlast_.clear();
-  taus_.clear();
-}
-
 Matrix invert(const pcyclic::PCyclicMatrix& m) {
-  Bsofi factor(m);
-  Matrix g = factor.inverse();
-  factor.release_workspace();
+  Matrix g = Bsofi(m).inverse();  // the factorisation dies here
   if (obs::health::enabled()) {
     util::WallTimer health_timer;
     // Exact 1-norm condition number of the reduced p-cyclic matrix: columns

@@ -8,6 +8,7 @@
 #include <optional>
 #include <string>
 #include <type_traits>
+#include <utility>
 
 #include "fsi/dense/blas.hpp"
 #include "fsi/dense/norms.hpp"
@@ -17,7 +18,6 @@
 #include "fsi/obs/metrics.hpp"
 #include "fsi/obs/trace.hpp"
 #include "fsi/sched/executor.hpp"
-#include "fsi/sched/workspace_pool.hpp"
 #include "fsi/util/flops.hpp"
 #include "fsi/util/timer.hpp"
 
@@ -51,28 +51,14 @@ class StageMeter {
 };
 
 /// The fp64 block a stage hands on from a block at stage scalar T: a copy
-/// for a walk store, the block itself for a finished (owned) cluster product
-/// or seed.  fp32 blocks are promoted into pool-backed fp64 storage.
-template <typename T>
-dense::Matrix to_fp64(const dense::BasicMatrix<T>& src) {
-  if constexpr (std::is_same_v<T, double>) {
-    return sched::acquire_copy(src);
-  } else {
-    dense::Matrix out = sched::acquire(src.rows(), src.cols());
-    dense::promote(src, out.view());
-    return out;
-  }
-}
-
-template <typename T>
-dense::Matrix to_fp64(dense::BasicMatrix<T>&& src) {
-  if constexpr (std::is_same_v<T, double>) {
-    return std::move(src);
-  } else {
-    dense::Matrix out = to_fp64(src);
-    sched::recycle(std::move(src));
-    return out;
-  }
+/// for a walk store, the block itself for a finished (owned) cluster
+/// product, a promoted copy for an fp32 block.
+template <typename M>
+dense::Matrix to_fp64(M&& src) {
+  if constexpr (std::is_same_v<std::remove_cvref_t<M>, dense::MatrixF>)
+    return dense::promoted(src);
+  else
+    return std::forward<M>(src);
 }
 
 }  // namespace
@@ -89,7 +75,7 @@ dense::BasicMatrix<T> cluster_product(const PCyclicMatrix& m, index_t c,
   // exactly one cluster, so nothing is demoted twice and the O(N^2)
   // conversions vanish next to the O(cN^3) products.
   dense::BasicMatrix<T> demoted;
-  if constexpr (std::is_same_v<T, float>) demoted = sched::acquire<T>(n, n);
+  if constexpr (std::is_same_v<T, float>) demoted = dense::BasicMatrix<T>(n, n);
   auto factor = [&](index_t j) -> dense::BasicConstMatrixView<T> {
     if constexpr (std::is_same_v<T, double>) {
       return m.b(m.wrap(j));
@@ -98,15 +84,13 @@ dense::BasicMatrix<T> cluster_product(const PCyclicMatrix& m, index_t c,
       return demoted.view();
     }
   };
-  dense::BasicMatrix<T> prod = sched::acquire_copy(factor(j_lo));
-  dense::BasicMatrix<T> next = sched::acquire<T>(n, n);
+  dense::BasicMatrix<T> prod = dense::BasicMatrix<T>::copy_of(factor(j_lo));
+  dense::BasicMatrix<T> next(n, n);
   for (index_t t = 1; t < c; ++t) {
     dense::gemm<T>(dense::Trans::No, dense::Trans::No, T(1), factor(j_lo + t),
                    prod, T(0), next);
     std::swap(prod, next);
   }
-  sched::recycle(std::move(next));
-  sched::recycle(std::move(demoted));
   return prod;
 }
 
@@ -130,11 +114,11 @@ PCyclicMatrix cluster(const PCyclicMatrix& m, index_t c, index_t q,
 
 namespace {
 
-/// Copy the seed block G~(k0, l0) out of the reduced inverse (pool-backed).
+/// Copy the seed block G~(k0, l0) out of the reduced inverse.
 template <typename T>
 dense::BasicMatrix<T> seed_block(const dense::BasicMatrix<T>& gtilde, index_t n,
                                  index_t k0, index_t l0) {
-  return sched::acquire_copy(gtilde.block(k0 * n, l0 * n, n, n));
+  return dense::BasicMatrix<T>::copy_of(gtilde.block(k0 * n, l0 * n, n, n));
 }
 
 /// Sampled health spot check: verify two stored blocks of a completed
@@ -282,9 +266,8 @@ void wrap_seed(const pcyclic::BasicBlockOps<T>& ops,
       const index_t k0 = seed;
       const index_t k = idx[k0];
       if (k == l - 1) break;
-      Block sb = seed_block(gtilde, n, k0, k0);
-      out.slot(k, k + 1) = to_fp64(ops.right(k, k, sb));
-      sched::recycle(std::move(sb));
+      out.slot(k, k + 1) =
+          to_fp64(ops.right(k, k, seed_block(gtilde, n, k0, k0)));
       break;
     }
     case Pattern::Columns: {
@@ -294,30 +277,22 @@ void wrap_seed(const pcyclic::BasicBlockOps<T>& ops,
       const index_t k0 = seed % b;
       const index_t col = idx[l0];
       const index_t row = idx[k0];
-      // Two independent walks from one seed; every intermediate and
-      // every stored copy cycles through the workspace pool.
-      Block sb = seed_block(gtilde, n, k0, l0);
-      Block cur = sched::acquire_copy(sb);
+      // Two independent walks from one seed.
+      Block cur = seed_block(gtilde, n, k0, l0);
       index_t k = row;
       for (index_t s = 0; s < up_steps; ++s) {
-        Block next = ops.up(k, col, cur);
-        sched::recycle(std::move(cur));
-        cur = std::move(next);
+        cur = ops.up(k, col, cur);
         k = ops.matrix().wrap(k - 1);
         out.slot(k, col) = to_fp64(cur);
       }
-      sched::recycle(std::move(cur));
-      cur = std::move(sb);
+      cur = seed_block(gtilde, n, k0, l0);
       k = row;
       out.slot(k, col) = to_fp64(cur);
       for (index_t s = 0; s < down_steps; ++s) {
-        Block next = ops.down(k, col, cur);
-        sched::recycle(std::move(cur));
-        cur = std::move(next);
+        cur = ops.down(k, col, cur);
         k = ops.matrix().wrap(k + 1);
         out.slot(k, col) = to_fp64(cur);
       }
-      sched::recycle(std::move(cur));
       break;
     }
     case Pattern::AllDiagonals: {
@@ -326,32 +301,23 @@ void wrap_seed(const pcyclic::BasicBlockOps<T>& ops,
       // adjacency step each (the "Hirsch wrapping" for equal-time blocks).
       const index_t k0 = seed;
       const index_t row = idx[k0];
-      Block sb = seed_block(gtilde, n, k0, k0);
-      Block cur = sched::acquire_copy(sb);
+      Block cur = seed_block(gtilde, n, k0, k0);
       index_t k = row;
       for (index_t s = 0; s < up_steps; ++s) {
         // up-left: G(k-1, k-1) = B_k^-1 G(k, k) B_k.
-        Block mid = ops.up(k, k, cur);
-        sched::recycle(std::move(cur));
-        cur = ops.left(ops.matrix().wrap(k - 1), k, mid);
-        sched::recycle(std::move(mid));
+        cur = ops.left(ops.matrix().wrap(k - 1), k, ops.up(k, k, cur));
         k = ops.matrix().wrap(k - 1);
         out.slot(k, k) = to_fp64(cur);
       }
-      sched::recycle(std::move(cur));
-      cur = std::move(sb);
+      cur = seed_block(gtilde, n, k0, k0);
       k = row;
       out.slot(k, k) = to_fp64(cur);
       for (index_t s = 0; s < down_steps; ++s) {
         // down-right: G(k+1, k+1) = B_{k+1} G(k, k) B_{k+1}^-1.
-        Block mid = ops.down(k, k, cur);
-        sched::recycle(std::move(cur));
-        cur = ops.right(ops.matrix().wrap(k + 1), k, mid);
-        sched::recycle(std::move(mid));
+        cur = ops.right(ops.matrix().wrap(k + 1), k, ops.down(k, k, cur));
         k = ops.matrix().wrap(k + 1);
         out.slot(k, k) = to_fp64(cur);
       }
-      sched::recycle(std::move(cur));
       break;
     }
     case Pattern::Rows: {
@@ -360,28 +326,21 @@ void wrap_seed(const pcyclic::BasicBlockOps<T>& ops,
       const index_t l0 = seed % b;
       const index_t row = idx[k0];
       const index_t col = idx[l0];
-      Block sb = seed_block(gtilde, n, k0, l0);
-      Block cur = sched::acquire_copy(sb);
+      Block cur = seed_block(gtilde, n, k0, l0);
       index_t cl = col;
       for (index_t s = 0; s < up_steps; ++s) {
-        Block next = ops.left(row, cl, cur);
-        sched::recycle(std::move(cur));
-        cur = std::move(next);
+        cur = ops.left(row, cl, cur);
         cl = ops.matrix().wrap(cl - 1);
         out.slot(row, cl) = to_fp64(cur);
       }
-      sched::recycle(std::move(cur));
-      cur = std::move(sb);
+      cur = seed_block(gtilde, n, k0, l0);
       cl = col;
       out.slot(row, cl) = to_fp64(cur);
       for (index_t s = 0; s < down_steps; ++s) {
-        Block next = ops.right(row, cl, cur);
-        sched::recycle(std::move(cur));
-        cur = std::move(next);
+        cur = ops.right(row, cl, cur);
         cl = ops.matrix().wrap(cl + 1);
         out.slot(row, cl) = to_fp64(cur);
       }
-      sched::recycle(std::move(cur));
       break;
     }
   }
@@ -415,21 +374,18 @@ SelectedInversion wrap(const pcyclic::BasicBlockOps<T>& ops,
 namespace {
 
 /// Stage 2 for a pipeline at stage scalar T: invert the reduced matrix in
-/// fp64 (releasing its blocks, which feed only BSOFI) and leave the walks'
+/// fp64 (consuming it: its blocks feed only BSOFI) and leave the walks'
 /// starting point in task.gtilde — demoted, with the gate's cond1 taken
 /// first, when the walks run in fp32.
 template <typename T>
-void invert_reduced(PCyclicMatrix& reduced, FsiGraphTask<T>& task) {
+void invert_reduced(PCyclicMatrix reduced, FsiGraphTask<T>& task) {
   dense::Matrix gtilde = bsofi::invert(reduced);
   if constexpr (std::is_same_v<T, double>) {
     task.gtilde = std::move(gtilde);
   } else {
     task.cond1 = reduced_cond1(reduced, gtilde);
-    task.gtilde = sched::acquire<float>(gtilde.rows(), gtilde.cols());
-    dense::demote(gtilde, task.gtilde.view());
-    sched::recycle(std::move(gtilde));
+    task.gtilde = dense::demoted(gtilde);
   }
-  reduced.release_blocks();
 }
 
 }  // namespace
@@ -476,8 +432,7 @@ FsiEmit emit_fsi_tasks(sched::TaskGraph& graph, FsiGraphTask<T>& task,
       [t](int) {
         FSI_OBS_SPAN("fsi.bsofi");
         t->flops_at_cls_end = util::flops::total();
-        PCyclicMatrix reduced(std::move(t->cls_blocks));
-        invert_reduced(reduced, *t);
+        invert_reduced(PCyclicMatrix(std::move(t->cls_blocks)), *t);
         for (Pattern p : t->patterns)
           t->results.emplace_back(p, t->m->block_size(), t->sel);
         t->flops_at_bsofi_end = util::flops::total();
@@ -513,15 +468,21 @@ const char* mixed_gate_verdict(const FsiGraphTask<float>& task,
   // runs always pay the ~4 N^3 probe; it is what licenses the fp32 result).
   util::WallTimer health_timer;
   const char* reason = nullptr;
+  std::vector<double> probed;
   for (const SelectedInversion& out : task.results) {
     const double r = probe_residual(*task.m, out, out.pattern(), task.sel);
     if (r < 0.0) continue;  // pattern stores no adjacent blocks
-    obs::health::record_residual(r);
     if (!(r <= gate.resid_max)) {  // catches NaN too
       reason = "residual";
       break;
     }
+    probed.push_back(r);
   }
+  // Only an accepted result's residuals describe an answer the caller
+  // gets; a rejected one is reported by the fallback counter and WARN, and
+  // the fp64 rerun takes its own spot check.
+  if (reason == nullptr)
+    for (const double r : probed) obs::health::record_residual(r);
   obs::metrics::add_seconds(obs::metrics::Accum::HealthCheck,
                             health_timer.seconds());
   return reason;
@@ -589,7 +550,7 @@ FsiGraphTask<T> run_stages(const PCyclicMatrix& m,
   }();
   {  // Stage 2: BSOFI.
     StageMeter meter("fsi.bsofi", stats.seconds_bsofi, stats.flops_bsofi);
-    invert_reduced(reduced, task);
+    invert_reduced(std::move(reduced), task);
   }
   {  // Stage 3: WRP.
     StageMeter meter("fsi.wrap", stats.seconds_wrap, stats.flops_wrap);
@@ -621,14 +582,12 @@ bool run_mixed(const PCyclicMatrix& m, const std::vector<Pattern>& patterns,
     }
     FsiGraphTask<float> task = run_stages(m, *ops, patterns, sel, opts, stats);
     const char* verdict = mixed_gate_verdict(task, gate);
-    sched::recycle(std::move(task.gtilde));
     if (verdict == nullptr) {
       out = std::move(task.results);
       stats.precision_used = Precision::Mixed;
       return true;
     }
     reason = verdict;
-    for (SelectedInversion& r : task.results) r.release_blocks();
   } catch (const util::CheckError& e) {
     reason = e.what();
   }
@@ -686,7 +645,6 @@ std::vector<SelectedInversion> fsi_multi(const PCyclicMatrix& m,
   if (opts.precision != Precision::Mixed ||
       !run_mixed(m, patterns, sel, opts, local, out)) {
     FsiGraphTask<double> task = run_stages(m, ops, patterns, sel, opts, local);
-    sched::recycle(std::move(task.gtilde));
     for (std::size_t i = 0; i < patterns.size(); ++i)
       residual_spot_check(m, task.results[i], patterns[i], sel);
     out = std::move(task.results);
@@ -707,15 +665,10 @@ dense::Matrix equal_time_block(const PCyclicMatrix& m, index_t k, index_t c) {
   // Seed position of k among the selected indices.
   const index_t k0 = (k + q + 1) / c - 1;
 
-  PCyclicMatrix reduced = cluster(m, c, q);
-  bsofi::Bsofi factor(reduced);
-  reduced.release_blocks();
-  dense::Matrix row = factor.inverse_block_row(k0);
-  factor.release_workspace();
+  const bsofi::Bsofi factor(cluster(m, c, q));
+  const dense::Matrix row = factor.inverse_block_row(k0);
   const index_t n = m.block_size();
-  dense::Matrix out = dense::Matrix::copy_of(row.block(0, k0 * n, n, n));
-  sched::recycle(std::move(row));
-  return out;
+  return dense::Matrix::copy_of(row.block(0, k0 * n, n, n));
 }
 
 double ComplexityModel::cls_flops() const {

@@ -24,9 +24,13 @@ struct Context {
   std::condition_variable barrier_cv;
   int barrier_waiting = 0;
   std::uint64_t barrier_generation = 0;
+  /// A rank threw: barriers stop waiting, including ones a surviving rank
+  /// reaches only after the failure (it would otherwise wait forever).
+  bool aborted = false;
 
   void barrier() {
     std::unique_lock<std::mutex> lock(barrier_mutex);
+    if (aborted) return;
     const std::uint64_t gen = barrier_generation;
     if (++barrier_waiting == num_ranks) {
       barrier_waiting = 0;
@@ -201,6 +205,7 @@ void run(int num_ranks, const std::function<void(Communicator&)>& body,
           // is no recovery story (like real MPI's abort-on-error default),
           // so terminate the run.
           std::lock_guard<std::mutex> lock(ctx.barrier_mutex);
+          ctx.aborted = true;
           ctx.barrier_waiting = 0;
           ++ctx.barrier_generation;
           ctx.barrier_cv.notify_all();

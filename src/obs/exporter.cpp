@@ -24,8 +24,8 @@ const char* counter_help(Counter c) {
     case Counter::KernelCalls: return "Dense kernel invocations";
     case Counter::MpiMessages: return "Mini-MPI point-to-point messages sent";
     case Counter::MpiBytes: return "Mini-MPI point-to-point payload bytes";
-    case Counter::PoolHits: return "Workspace-pool acquires from free lists";
-    case Counter::PoolMisses: return "Workspace-pool acquires hitting malloc";
+    case Counter::PoolHits: return "Always 0 (workspace pool deleted)";
+    case Counter::PoolMisses: return "Always 0 (workspace pool deleted)";
     case Counter::SchedTasks: return "Batch-scheduler tasks executed";
     case Counter::SchedSteals: return "Batch-scheduler steal-half operations";
     case Counter::ExecNodes: return "Task-graph nodes executed";

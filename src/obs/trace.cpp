@@ -64,9 +64,12 @@ std::mutex& registry_mutex() {
   return m;
 }
 
+/// Every thread's buffer, kept for the life of the process.  Leaked on
+/// purpose, like the buffers it points to: a registry destroyed at exit
+/// would leave them unreachable, which leak checkers report.
 std::vector<ThreadBuffer*>& registry() {
-  static std::vector<ThreadBuffer*> r;
-  return r;
+  static auto* r = new std::vector<ThreadBuffer*>();
+  return *r;
 }
 
 std::atomic<std::uint64_t>& dropped_counter() {

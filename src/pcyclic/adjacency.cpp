@@ -5,18 +5,14 @@
 
 #include "fsi/dense/blas.hpp"
 #include "fsi/dense/lu.hpp"
-#include "fsi/sched/workspace_pool.hpp"
 
 namespace fsi::pcyclic {
 namespace {
 
-// Adjacency moves run thousands of times per batched FSI call, so their
-// outputs and temporaries come from (and go back to) the workspace pool.
-
 /// g - I (g must be square).
 template <typename T>
 dense::BasicMatrix<T> minus_identity(dense::BasicConstMatrixView<T> g) {
-  dense::BasicMatrix<T> out = sched::acquire_copy(g);
+  dense::BasicMatrix<T> out = dense::BasicMatrix<T>::copy_of(g);
   for (index_t d = 0; d < out.rows(); ++d) out(d, d) -= T(1);
   return out;
 }
@@ -26,7 +22,7 @@ template <typename T>
 dense::BasicMatrix<T> product(T sign, dense::BasicConstMatrixView<T> lhs,
                               dense::BasicConstMatrixView<T> rhs,
                               bool plus_identity) {
-  dense::BasicMatrix<T> out = sched::acquire<T>(lhs.rows(), rhs.cols());
+  dense::BasicMatrix<T> out(lhs.rows(), rhs.cols());
   dense::gemm<T>(dense::Trans::No, dense::Trans::No, sign, lhs, rhs, T(0), out);
   if (plus_identity) {
     for (index_t d = 0; d < out.rows(); ++d) out(d, d) += T(1);
@@ -89,10 +85,7 @@ auto BasicBlockOps<T>::up(index_t k, index_t l, ConstView g) const -> Block {
   //  k == 0, l == 0 : G(L-1, 0) = -B_0^-1 (G(0, 0) - I)        [corner]
   const T sign = (k == 0) ? T(-1) : T(1);
   if (k != l) return product<T>(sign, inv(k), g, false);
-  Block shifted = minus_identity(g);
-  Block out = product<T>(sign, inv(k), shifted, false);
-  sched::recycle(std::move(shifted));
-  return out;
+  return product<T>(sign, inv(k), minus_identity(g), false);
 }
 
 template <typename T>
@@ -126,10 +119,7 @@ auto BasicBlockOps<T>::right(index_t k, index_t l, ConstView g) const -> Block {
   const index_t ln = m_.wrap(l + 1);
   const T sign = (l == num_blocks() - 1) ? T(-1) : T(1);
   if (k != l) return product<T>(sign, g, inv(ln), false);
-  Block shifted = minus_identity(g);
-  Block out = product<T>(sign, shifted, inv(ln), false);
-  sched::recycle(std::move(shifted));
-  return out;
+  return product<T>(sign, minus_identity(g), inv(ln), false);
 }
 
 template class BasicBlockOps<double>;

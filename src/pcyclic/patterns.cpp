@@ -1,6 +1,5 @@
 #include "fsi/pcyclic/patterns.hpp"
 
-#include "fsi/sched/workspace_pool.hpp"
 #include "fsi/util/check.hpp"
 
 namespace fsi::pcyclic {
@@ -143,10 +142,6 @@ std::size_t SelectedInversion::bytes() const {
   std::size_t total = 0;
   for (const auto& b : blocks_) total += b.bytes();
   return total;
-}
-
-void SelectedInversion::release_blocks() {
-  for (auto& b : blocks_) sched::recycle(std::move(b));
 }
 
 }  // namespace fsi::pcyclic

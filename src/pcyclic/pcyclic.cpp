@@ -1,7 +1,6 @@
 #include "fsi/pcyclic/pcyclic.hpp"
 
 #include "fsi/dense/blas.hpp"
-#include "fsi/sched/workspace_pool.hpp"
 
 namespace fsi::pcyclic {
 
@@ -82,10 +81,6 @@ std::size_t PCyclicMatrix::bytes() const {
   std::size_t total = 0;
   for (const Matrix& b : blocks_) total += b.bytes();
   return total;
-}
-
-void PCyclicMatrix::release_blocks() {
-  for (Matrix& b : blocks_) sched::recycle(std::move(b));
 }
 
 Matrix chain_product(const PCyclicMatrix& m, index_t k, index_t l) {

@@ -173,14 +173,6 @@ DqmcResult run_dqmc(const HubbardModel& model, const DqmcOptions& options) {
                                      result.measurements);
     }
     result.timings.measure_seconds += phase.seconds();
-
-    // Recycle this configuration's Green blocks into the workspace pool so
-    // the next measurement sweep's FSI pass reuses the storage.
-    for (GreenBlocks* g : {&up, &dn}) {
-      g->diag.release_blocks();
-      if (g->rows) g->rows->release_blocks();
-      if (g->cols) g->cols->release_blocks();
-    }
   }
 
   // The stabilised recomputes inside the sweeps are Green's-function work;

@@ -17,7 +17,6 @@
 #include "fsi/qmc/dqmc.hpp"
 #include "fsi/sched/executor.hpp"
 #include "fsi/sched/scheduler.hpp"
-#include "fsi/sched/workspace_pool.hpp"
 #include "fsi/selinv/fsi.hpp"
 #include "fsi/util/flops.hpp"
 #include "fsi/util/timer.hpp"
@@ -217,7 +216,7 @@ std::vector<Measurements> run_batch(const HubbardModel& model,
             }
             // fp32 context is spent either way.
             for (SpinWork* s : {&tw->up, &tw->dn}) {
-              sched::recycle(std::move(s->fsi.gtilde));
+              s->fsi.gtilde = {};
               s->ops.reset();
             }
             if (reason == nullptr) return;
@@ -233,8 +232,7 @@ std::vector<Measurements> run_batch(const HubbardModel& model,
             fp64.precision = Precision::Fp64;
             util::Rng unused(0);  // q is fixed
             for (SpinWork* s : {&tw->up, &tw->dn}) {
-              for (pcyclic::SelectedInversion& r : s->fsi.results)
-                r.release_blocks();
+              s->fsi.results.clear();
               const pcyclic::BlockOps ops(*s->mat);
               s->fsi.results =
                   selinv::fsi_multi(*s->mat, ops, s->fsi.patterns, fp64, unused);
@@ -245,18 +243,18 @@ std::vector<Measurements> run_batch(const HubbardModel& model,
     }
 
     // The per-task Measure node: serial accumulation into this task's
-    // result slot (fixed floating-point order), then recycle/release
-    // everything back to the workspace pool.
+    // result slot (fixed floating-point order), then free everything the
+    // task holds, so a batch's in-flight memory does not grow with its
+    // task count.
     const sched::NodeId measure = graph.add_node(
         [&model, &results, tw, t](int) {
           FSI_OBS_SPAN("qmc.measure");
-          sched::recycle(std::move(tw->up.fsi.gtilde));
-          sched::recycle(std::move(tw->dn.fsi.gtilde));
+          tw->up.fsi.gtilde = {};
+          tw->dn.fsi.gtilde = {};
           measure_task(model, tw->up.fsi.results, tw->dn.fsi.results,
                        tw->heavy, results[static_cast<std::size_t>(t)]);
           for (SpinWork* s : {&tw->up, &tw->dn}) {
-            for (pcyclic::SelectedInversion& r : s->fsi.results)
-              r.release_blocks();
+            s->fsi.results.clear();
             s->ops.reset();
             s->mat.reset();
           }
@@ -335,10 +333,6 @@ MultiGfResult run_parallel_fsi(const HubbardModel& model,
                 std::ceil(frac * static_cast<double>(m_total)))
           : 0;
 
-  auto& pool = sched::WorkspacePool::global();
-  const std::uint64_t pool_hits0 = pool.hits();
-  const std::uint64_t pool_misses0 = pool.misses();
-
   MultiGfResult result{Measurements(l, dmax), 0.0, 0, SchedSummary{}};
   util::flops::reset();
   util::WallTimer timer;
@@ -347,8 +341,6 @@ MultiGfResult run_parallel_fsi(const HubbardModel& model,
     run_fine_granularity(model, options, c, heavy_cutoff, result);
     result.seconds = timer.seconds();
     result.flops = util::flops::total();
-    result.sched.pool_hits = pool.hits() - pool_hits0;
-    result.sched.pool_misses = pool.misses() - pool_misses0;
     return result;
   }
 
@@ -392,8 +384,7 @@ MultiGfResult run_parallel_fsi(const HubbardModel& model,
               static_cast<index_t>(task_rng.below(static_cast<std::uint64_t>(c)));
           const bool heavy = static_cast<index_t>(task) < heavy_cutoff;
 
-          // Per spin: build M, then the loop-shaped fp64 FSI pipeline;
-          // all intermediates cycle through the workspace pool.
+          // Per spin: build M, then the loop-shaped fp64 FSI pipeline.
           selinv::FsiOptions fsi_opts;
           fsi_opts.c = c;
           fsi_opts.q = q;
@@ -412,9 +403,6 @@ MultiGfResult run_parallel_fsi(const HubbardModel& model,
           // per-task buffer keeps the floating-point summation order fixed.
           Measurements task_meas(l, dmax);
           measure_task(model, up, dn, heavy, task_meas);
-          for (auto* spin_blocks : {&up, &dn})
-            for (pcyclic::SelectedInversion& r : *spin_blocks)
-              r.release_blocks();
 
           done.push_back(static_cast<double>(task));
           const std::vector<double> payload = task_meas.serialize();
@@ -468,8 +456,6 @@ MultiGfResult run_parallel_fsi(const HubbardModel& model,
   result.sched.busy_max_seconds = scheduler.busy_max_seconds();
   result.sched.busy_mean_seconds = scheduler.busy_mean_seconds();
   result.sched.busy_seconds = scheduler.busy_seconds();
-  result.sched.pool_hits = pool.hits() - pool_hits0;
-  result.sched.pool_misses = pool.misses() - pool_misses0;
   return result;
 }
 

@@ -16,6 +16,7 @@
 #include "fsi/bsofi/bsofi.hpp"
 #include "fsi/dense/blas.hpp"
 #include "fsi/dense/norms.hpp"
+#include "fsi/obs/health.hpp"
 #include "fsi/obs/metrics.hpp"
 #include "fsi/pcyclic/adjacency.hpp"
 #include "fsi/pcyclic/explicit_inverse.hpp"
@@ -275,6 +276,54 @@ TEST(FsiMixed, ForcedFallbackReturnsFp64ResultAndCounts) {
   ASSERT_EQ(got.size(), ref.size());
   for (const auto& [k, col] : ref.keys())
     expect_close(got.at(k, col), ref.at(k, col), 0.0, "fallback block");
+}
+
+TEST(FsiMixed, ResidualTripLeavesTheHealthVerdictToTheFallback) {
+  // A gate that passes cond1 but rejects the fp32 residual: the caller gets
+  // the fp64 fallback's answer, so the rejected residual must not reach the
+  // health monitor, where (with resid_fail at the gate's level, as by
+  // default) it would turn sel_residual FAIL.
+  GateGuard guard;
+  const index_t n = 6, l = 12, c = 4;
+  pcyclic::PCyclicMatrix m = hubbard_matrix(n, l, 2.0, 1.0, 0xE3);
+  selinv::FsiOptions opts;
+  opts.c = c;
+  opts.q = 1;
+  opts.pattern = pcyclic::Pattern::Columns;
+  opts.precision = Precision::Mixed;
+
+  // cond1 alone passes the default gate: a cond1-only gate keeps fp32.
+  selinv::set_mixed_gate(
+      {kAcceptAll.resid_max, selinv::MixedGate{}.cond_max});
+  util::Rng rng(3);
+  selinv::FsiStats accepted;
+  const auto fp32 = selinv::fsi(m, opts, rng, &accepted);
+  ASSERT_EQ(accepted.precision_used, Precision::Mixed);
+  const std::vector<double> resid = residuals_everywhere(m, fp32);
+  constexpr double kResidMax = 1e-9;
+  ASSERT_GT(*std::min_element(resid.begin(), resid.end()), kResidMax);
+
+  const obs::health::Thresholds saved = obs::health::thresholds();
+  obs::health::Thresholds lowered = saved;
+  lowered.resid_warn = kResidMax / 10.0;
+  lowered.resid_fail = kResidMax;
+  obs::health::set_thresholds(lowered);
+  obs::health::reset();
+  selinv::set_mixed_gate({kResidMax, selinv::MixedGate{}.cond_max});
+  selinv::FsiStats stats;
+  (void)selinv::fsi(m, opts, rng, &stats);
+  const obs::health::HealthReport report = obs::health::report();
+  obs::health::set_thresholds(saved);
+
+  EXPECT_TRUE(stats.mixed_fallback);
+  EXPECT_EQ(stats.precision_used, Precision::Fp64);
+  for (const obs::health::CheckRow& row : report.rows) {
+    if (row.name != "sel_residual") continue;
+    EXPECT_EQ(row.status, obs::health::Status::Ok)
+        << "worst residual " << row.worst;
+    EXPECT_LT(row.worst, lowered.resid_warn);
+  }
+  EXPECT_NE(report.overall, obs::health::Status::Fail);
 }
 
 TEST(FsiMixed, RepeatedIdenticalCallsGiveOneVerdict) {

@@ -1,6 +1,5 @@
-// Tests of the fsi::sched work-stealing batch scheduler and workspace pool,
-// and of the determinism + pool-reuse guarantees of the scheduler-driven
-// run_parallel_fsi.
+// Tests of the fsi::sched work-stealing batch scheduler and of the
+// determinism guarantees of the scheduler-driven run_parallel_fsi.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +11,6 @@
 #include "fsi/qmc/multi_gf.hpp"
 #include "fsi/sched/scheduler.hpp"
 #include "fsi/sched/task_queue.hpp"
-#include "fsi/sched/workspace_pool.hpp"
 
 namespace {
 
@@ -137,67 +135,7 @@ TEST(BatchScheduler, MoreWorkersThanTasks) {
 }
 
 // ---------------------------------------------------------------------------
-// WorkspacePool (local instances — the global pool is exercised end-to-end
-// by the MultiGfSched tests below)
-
-TEST(WorkspacePool, RecycledStorageIsReusedAndZeroed) {
-  sched::WorkspacePool pool(true, 64 << 20);
-  dense::Matrix a = pool.acquire(4, 6);
-  a(1, 2) = 42.0;
-  const double* ptr = a.data();
-  pool.recycle(std::move(a));
-  EXPECT_EQ(pool.cached_buffers(), 1u);
-  // Same element count (different shape) reuses the buffer, zeroed.
-  dense::Matrix b = pool.acquire(6, 4);
-  EXPECT_EQ(b.data(), ptr);
-  for (dense::index_t j = 0; j < 4; ++j)
-    for (dense::index_t i = 0; i < 6; ++i) EXPECT_EQ(b(i, j), 0.0);
-  EXPECT_EQ(pool.hits(), 1u);
-  EXPECT_EQ(pool.misses(), 1u);
-  EXPECT_DOUBLE_EQ(pool.hit_rate(), 0.5);
-}
-
-TEST(WorkspacePool, AcquireCopyMatchesSource) {
-  sched::WorkspacePool pool(true, 64 << 20);
-  dense::Matrix src(3, 3);
-  for (dense::index_t j = 0; j < 3; ++j)
-    for (dense::index_t i = 0; i < 3; ++i) src(i, j) = 10.0 * i + j;
-  dense::Matrix copy = pool.acquire_copy(src.view());
-  for (dense::index_t j = 0; j < 3; ++j)
-    for (dense::index_t i = 0; i < 3; ++i) EXPECT_EQ(copy(i, j), src(i, j));
-}
-
-TEST(WorkspacePool, ByteCapDropsExcessBuffers) {
-  // Cap small enough that a second cached buffer of this size exceeds the
-  // per-shard budget (identical counts land in the same shard).
-  sched::WorkspacePool pool(true, 8 * 100 * sizeof(double));
-  pool.recycle(pool.acquire(10, 10));
-  pool.recycle(pool.acquire(10, 10));
-  pool.recycle(pool.acquire(10, 10));
-  EXPECT_LE(pool.cached_bytes(), 8 * 100 * sizeof(double));
-  pool.clear();
-  EXPECT_EQ(pool.cached_bytes(), 0u);
-  EXPECT_EQ(pool.cached_buffers(), 0u);
-}
-
-TEST(WorkspacePool, DisabledPoolNeverCaches) {
-  sched::WorkspacePool pool(false, 64 << 20);
-  dense::Matrix a = pool.acquire(4, 4);
-  pool.recycle(std::move(a));
-  EXPECT_EQ(pool.cached_buffers(), 0u);
-  dense::Matrix b = pool.acquire(4, 4);
-  EXPECT_EQ(pool.hits(), 0u);
-  EXPECT_EQ(pool.misses(), 2u);
-}
-
-TEST(WorkspacePool, RecyclingEmptyMatrixIsANoOp) {
-  sched::WorkspacePool pool(true, 64 << 20);
-  pool.recycle(dense::Matrix());
-  EXPECT_EQ(pool.cached_buffers(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// run_parallel_fsi: determinism + pool reuse
+// run_parallel_fsi: determinism
 
 qmc::MultiGfOptions batch_options(int ranks, int threads,
                                   qmc::Schedule schedule) {
@@ -314,45 +252,6 @@ TEST(MultiGfSched, FineGranularityReportsGraphTelemetry) {
   EXPECT_EQ(coarse.sched.graph_nodes, 0u);
   EXPECT_DOUBLE_EQ(coarse.sched.critical_path_seconds, 0.0);
   EXPECT_EQ(coarse.sched.busy_seconds.size(), 2u);
-}
-
-TEST(MultiGfSched, SecondSameShapeBatchHitsPoolWithoutFreshAllocations) {
-  fsi::qmc::HubbardParams p;
-  p.l = 6;
-  p.u = 2.0;
-  const qmc::HubbardModel model(qmc::Lattice::chain(3), p);
-  auto opt = batch_options(1, 1, qmc::Schedule::WorkStealing);
-
-  if (!sched::WorkspacePool::global().enabled())
-    GTEST_SKIP() << "FSI_SCHED_POOL disabled in the environment";
-
-  // Warmup batch populates the pool with every shape this workload needs.
-  (void)run_parallel_fsi(model, opt);
-  // A single-rank rerun replays the identical acquire sequence, so every
-  // acquire must be served from the pool: zero fresh allocations.
-  const auto second = run_parallel_fsi(model, opt);
-  EXPECT_EQ(second.sched.pool_misses, 0u)
-      << "steady-state batch should be allocation-free";
-  EXPECT_GT(second.sched.pool_hits, 0u);
-  EXPECT_DOUBLE_EQ(second.sched.pool_hit_rate(), 1.0);
-}
-
-TEST(MultiGfSched, MultiRankSteadyStateHitRateIsHigh) {
-  fsi::qmc::HubbardParams p;
-  p.l = 6;
-  p.u = 2.0;
-  const qmc::HubbardModel model(qmc::Lattice::chain(3), p);
-  auto opt = batch_options(3, 1, qmc::Schedule::WorkStealing);
-  opt.num_matrices = 9;
-
-  if (!sched::WorkspacePool::global().enabled())
-    GTEST_SKIP() << "FSI_SCHED_POOL disabled in the environment";
-
-  (void)run_parallel_fsi(model, opt);
-  const auto second = run_parallel_fsi(model, opt);
-  EXPECT_GT(second.sched.pool_hit_rate(), 0.9)
-      << "hits=" << second.sched.pool_hits
-      << " misses=" << second.sched.pool_misses;
 }
 
 TEST(MultiGfSched, SkewedBatchReportsBalanceTelemetry) {

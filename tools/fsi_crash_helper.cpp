@@ -32,6 +32,13 @@ namespace {
 volatile int* g_null = nullptr;
 volatile int g_zero = 0;
 
+// The deliberate fault.  Not UBSan-instrumented: in a sanitizer build the
+// null-store check would abort before the SIGSEGV the crash handler is
+// there to catch.
+__attribute__((no_sanitize_undefined)) void store_through_null() {
+  *g_null = g_zero;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -76,6 +83,6 @@ int main(int argc, char** argv) {
     std::raise(SIGFPE);  // portable: integer division traps are ISA-specific
     return 1;
   }
-  *g_null = g_zero;  // segv (default)
-  return 1;          // unreachable
+  store_through_null();  // segv (default)
+  return 1;              // unreachable
 }
