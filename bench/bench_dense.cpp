@@ -2,11 +2,13 @@
 /// \brief Google-benchmark microbenchmarks of the dense substrate (the
 /// reproduction's MKL stand-in): GEMM, LU, QR, TRSM, and the FSI building
 /// blocks at DQMC-relevant sizes (N = 16 and 36 are the 4x4 and 6x6
-/// Hubbard blocks the DQMC workloads run).  Context for every Gflops
+/// Hubbard blocks the DQMC workloads run): adjacency moves, BlockOps
+/// construction and the SPXX measurement.  Context for every Gflops
 /// number printed by the figure benches.
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdio>
 
 #include "fsi/dense/blas.hpp"
@@ -14,6 +16,9 @@
 #include "fsi/dense/qr.hpp"
 #include "fsi/obs/telemetry.hpp"
 #include "fsi/pcyclic/adjacency.hpp"
+#include "fsi/qmc/dqmc.hpp"
+#include "fsi/qmc/measurements.hpp"
+#include "fsi/selinv/fsi.hpp"
 #include "fsi/util/rng.hpp"
 
 namespace {
@@ -155,6 +160,78 @@ void BM_AdjacencyMove(benchmark::State& state) {
       benchmark::Counter::kIs1000);
 }
 BENCHMARK(BM_AdjacencyMove)->ArgsProduct({{16, 36}, {0, 1}});
+
+/// A Hubbard model on the square of \p n sites at L = 40 (the gf_batch
+/// shape) and one random HS field.
+struct HubbardCase {
+  qmc::HubbardModel model;
+  qmc::HsField field;
+
+  explicit HubbardCase(index_t n)
+      : model(qmc::Lattice::rectangle(side(n), side(n)), params()),
+        field(make_field(n)) {}
+  static index_t side(index_t n) {
+    return static_cast<index_t>(std::lround(std::sqrt(static_cast<double>(n))));
+  }
+  static qmc::HubbardParams params() {
+    qmc::HubbardParams p;
+    p.beta = 2.0;
+    p.l = 40;
+    return p;
+  }
+  static qmc::HsField make_field(index_t n) {
+    util::Rng rng(13);
+    return qmc::HsField(40, n, rng);
+  }
+};
+
+void BM_BlockOpsBuild(benchmark::State& state) {
+  // The BlockOps of one spin of a Build node: the L inverses by LU +
+  // explicit inverse, or supplied in closed form by the Hubbard model.
+  const index_t n = static_cast<index_t>(state.range(0));
+  const bool supplied = state.range(1) == 1;
+  const HubbardCase hc(n);
+  const pcyclic::PCyclicMatrix m = hc.model.build_m(hc.field, qmc::Spin::Up);
+  for (auto _ : state) {
+    const pcyclic::BlockOps ops =
+        supplied ? pcyclic::BlockOps(
+                       m, hc.model.b_inverses(hc.field, qmc::Spin::Up))
+                 : pcyclic::BlockOps(m);
+    benchmark::DoNotOptimize(ops.inv(0).data());
+  }
+  state.SetLabel(supplied ? "supplied" : "inverting");
+}
+BENCHMARK(BM_BlockOpsBuild)
+    ->ArgsProduct({{16, 36}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_Spxx(benchmark::State& state) {
+  // The SPXX accumulation of one heavy gf_batch task (both spins' block
+  // rows and columns, c = 5), serial as in the batch's Measure node.
+  const index_t n = static_cast<index_t>(state.range(0));
+  const HubbardCase hc(n);
+  const index_t l = hc.model.params().l;
+  selinv::FsiOptions opts;
+  opts.c = qmc::default_cluster_size(l);
+  opts.q = 1;
+  const std::vector<pcyclic::Pattern> patterns{pcyclic::Pattern::Rows,
+                                               pcyclic::Pattern::Columns};
+  util::Rng unused(0);
+  auto blocks = [&](qmc::Spin spin) {
+    const pcyclic::PCyclicMatrix m = hc.model.build_m(hc.field, spin);
+    const pcyclic::BlockOps ops(m, hc.model.b_inverses(hc.field, spin));
+    return selinv::fsi_multi(m, ops, patterns, opts, unused);
+  };
+  const auto up = blocks(qmc::Spin::Up);
+  const auto dn = blocks(qmc::Spin::Down);
+  const qmc::Lattice& lat = hc.model.lattice();
+  for (auto _ : state) {
+    qmc::Measurements meas(l, lat.num_distance_classes());
+    qmc::accumulate_spxx(lat, up[0], up[1], dn[0], dn[1], 1.0, false, meas);
+    benchmark::DoNotOptimize(meas.spxx(0, 0));
+  }
+}
+BENCHMARK(BM_Spxx)->Arg(16)->Arg(36)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -13,10 +13,12 @@
 /// first column / last column / corners) spelled out in the paper and
 /// re-derived in 0-based torus indexing in the implementation.
 ///
-/// BlockOps inverts every B block once (LU, then the explicit inverse) and
-/// keeps only the inverses, so all four moves are one GEMM each; all moves
-/// are `const` and safe to call concurrently from OpenMP threads, which is
-/// how the wrapping stage parallelises over seeds.
+/// BlockOps keeps every B block's inverse, so all four moves are one GEMM
+/// each.  A caller that knows the inverses in closed form (the Hubbard
+/// model: B^-1 = e^{-sigma nu V} e^{-t dtau K}, O(N^2) per block) hands
+/// them over; otherwise BlockOps inverts each block once (LU, then the
+/// explicit inverse).  All moves are `const` and safe to call
+/// concurrently, which is how the wrapping stage parallelises over seeds.
 
 #include <vector>
 
@@ -34,9 +36,14 @@ class BasicBlockOps {
   using Block = dense::BasicMatrix<T>;
   using ConstView = dense::BasicConstMatrixView<T>;
 
-  /// Invert all L blocks (parallelised with OpenMP).  Throws
-  /// util::CheckError when a block is exactly singular.
+  /// Invert all L blocks (LU, parallelised with OpenMP) — for p-cyclic
+  /// matrices whose inverses are not known.  Throws util::CheckError when
+  /// a block is exactly singular.
   explicit BasicBlockOps(const PCyclicMatrix& m);
+  /// Take the L fp64 inverses B[i]^-1 instead of inverting: moved in at
+  /// T = double, demoted at T = float.  Throws util::CheckError unless
+  /// \p inverses holds one N x N matrix per block of \p m.
+  BasicBlockOps(const PCyclicMatrix& m, std::vector<dense::Matrix> inverses);
 
   const PCyclicMatrix& matrix() const { return m_; }
   index_t block_size() const { return m_.block_size(); }
@@ -69,10 +76,10 @@ extern template class BasicBlockOps<float>;
 using BlockOps = BasicBlockOps<double>;
 
 /// fp32 moves for the mixed-precision wrapping stage: the same moves and
-/// boundary cases on demoted B blocks and their fp32 inverses.  Inverting
-/// is ~2x cheaper and every move runs at the fp32 GEMM rate — the WRP half
-/// of the Mixed speedup.  Accuracy is policed downstream by the selinv
-/// mixed gate, not here.
+/// boundary cases on demoted B blocks and demoted (or fp32-computed)
+/// inverses.  Every move runs at the fp32 GEMM rate — the WRP half of the
+/// Mixed speedup.  Accuracy is policed downstream by the selinv mixed
+/// gate, not here.
 using BlockOpsF = BasicBlockOps<float>;
 
 }  // namespace fsi::pcyclic

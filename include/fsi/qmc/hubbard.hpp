@@ -97,11 +97,16 @@ class HubbardModel {
 
   /// B_l^sigma = e^{t dtau K} e^{sigma nu V_l(h)}.
   Matrix b_matrix(const HsField& h, index_t slice, Spin spin) const;
-  /// (B_l^sigma)^-1 = e^{-sigma nu V_l(h)} e^{-t dtau K} (analytic inverse).
+  /// (B_l^sigma)^-1 = e^{-sigma nu V_l(h)} e^{-t dtau K} (analytic inverse,
+  /// O(N^2)).
   Matrix b_matrix_inv(const HsField& h, index_t slice, Spin spin) const;
 
   /// The full Hubbard matrix M^sigma(h) as a block p-cyclic matrix.
   pcyclic::PCyclicMatrix build_m(const HsField& h, Spin spin) const;
+  /// The inverses of build_m's L blocks in slice order, b_matrix_inv for
+  /// every slice — what pcyclic::BlockOps takes instead of inverting the
+  /// blocks by LU.
+  std::vector<Matrix> b_inverses(const HsField& h, Spin spin) const;
 
   /// In-place g := B_l^sigma * g (used by the Green's-function wraps).
   void multiply_b_left(const HsField& h, index_t slice, Spin spin,
@@ -116,6 +121,12 @@ class HubbardModel {
   }
 
  private:
+  /// f_i = hs_factor(h(slice, i), spin) for every site: the diagonal of
+  /// e^{sigma nu V_l(h)}.  B scales the columns of e^{t dtau K} by f, and
+  /// B^-1 the rows of e^{-t dtau K} by 1 / f.
+  std::vector<double> hs_diagonal(const HsField& h, index_t slice,
+                                  Spin spin) const;
+
   Lattice lattice_;
   HubbardParams params_;
   Matrix expk_, expk_inv_;

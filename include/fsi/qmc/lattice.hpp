@@ -53,24 +53,30 @@ class Lattice {
   const std::vector<index_t>& neighbors(index_t s) const;
 
   /// Spatial distance class D(i, j): the canonical periodic displacement
-  /// (|dx| and |dy| folded into [0, n/2]) enumerated as a single index.
-  /// This is the paper's mapping from entry index (i, j) to d.
-  index_t distance_class(index_t i, index_t j) const;
+  /// (|dx| and |dy| folded into [0, n/2]) enumerated as a single index
+  /// (general graphs: the BFS distance).  This is the paper's mapping from
+  /// entry index (i, j) to d; a table read, built once per lattice.
+  index_t distance_class(index_t i, index_t j) const {
+    FSI_ASSERT(i >= 0 && i < num_sites() && j >= 0 && j < num_sites());
+    return class_table_[static_cast<std::size_t>(j) *
+                            static_cast<std::size_t>(num_sites()) +
+                        static_cast<std::size_t>(i)];
+  }
 
   /// Number of distance classes d_max (the paper's "d_max ~ O(N)" second
   /// dimension of the SPXX matrix).
-  index_t num_distance_classes() const;
+  index_t num_distance_classes() const { return num_classes_; }
 
   /// Sublattice parity (-1)^(x+y) of site \p s (general graphs: bipartite
   /// 2-colouring, or +1 when the graph is not bipartite) — the staggering
   /// sign of antiferromagnetic correlation functions.
   int parity(index_t s) const {
-    if (!parity_.empty()) return parity_[static_cast<std::size_t>(s)];
-    return ((x_of(s) + y_of(s)) % 2 == 0) ? 1 : -1;
+    FSI_ASSERT(s >= 0 && s < num_sites());
+    return parity_[static_cast<std::size_t>(s)];
   }
 
   /// True if this lattice was built from an explicit edge list.
-  bool is_general_graph() const { return !dist_table_.empty(); }
+  bool is_general_graph() const { return general_graph_; }
 
   /// Number of (ordered) site pairs in each distance class; used to
   /// normalise correlation functions.
@@ -87,11 +93,13 @@ class Lattice {
   index_t nx_ = 0, ny_ = 0;
   Matrix k_;
   std::vector<std::vector<index_t>> neighbors_;
+  /// D(i, j) at j * n + i (column-major, like the Green's-function blocks
+  /// the measurements sweep; D is symmetric either way).
+  std::vector<index_t> class_table_;
+  std::vector<int> parity_;  ///< staggering sign per site
+  index_t num_classes_ = 0;
   std::vector<index_t> class_sizes_;
-  // General-graph extras (empty for chain/rectangle lattices):
-  std::vector<index_t> dist_table_;  // n*n BFS distances
-  std::vector<int> parity_;          // bipartite colouring or all +1
-  index_t graph_dmax_ = 0;
+  bool general_graph_ = false;
 };
 
 }  // namespace fsi::qmc

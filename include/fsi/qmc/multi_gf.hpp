@@ -143,9 +143,10 @@ struct FsiBatchOptions {
 /// persistent sched::Executor pool, so a straggler task's seed walks are
 /// stolen by idle workers).  Returns one Measurements per task, in task
 /// order; results are bit-identical to running in-process
-/// selinv::fsi_multi on the task's two matrices + the measurement
-/// accumulators, regardless of worker count or steal order (a mixed task
-/// whose either spin falls back is fp64 in both).  \p sched, when
+/// selinv::fsi_multi on the task's two matrices (BlockOps from
+/// HubbardModel::b_inverses) + the measurement accumulators, regardless of
+/// worker count or steal order (a mixed task whose either spin falls back
+/// is fp64 in both).  \p sched, when
 /// non-null, receives the run's scheduler telemetry.
 std::vector<Measurements> run_fsi_batch(const HubbardModel& model,
                                         const std::vector<FsiBatchTask>& tasks,

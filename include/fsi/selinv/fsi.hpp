@@ -205,8 +205,8 @@ pcyclic::SelectedInversion fsi(const pcyclic::PCyclicMatrix& m,
 /// without re-reducing per pattern.  All patterns share the same q.
 /// Results are returned in the order of \p patterns.  Every call runs one
 /// stage pipeline, templated on the stage scalar, as a task graph or as
-/// OpenMP loops (FsiOptions::exec); a Mixed call runs it at float (fp32
-/// BlockOps built here, counted as wrap work), applies
+/// OpenMP loops (FsiOptions::exec); a Mixed call runs it at float (an fp32
+/// BlockOps that demotes \p ops' inverses, counted as wrap work), applies
 /// mixed_gate_verdict(), and on a trip reruns it at double.
 std::vector<pcyclic::SelectedInversion> fsi_multi(
     const pcyclic::PCyclicMatrix& m, const pcyclic::BlockOps& ops,

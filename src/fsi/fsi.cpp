@@ -563,22 +563,29 @@ FsiGraphTask<T> run_stages(const PCyclicMatrix& m,
 
 /// A Mixed call's fp32 attempt: the pipeline at T = float behind the mixed
 /// gate.  True = \p out holds the accepted result.  False = the gate
-/// tripped or an fp32 stage threw (e.g. a block singular at fp32 that is
-/// fine at fp64): the fallback is counted and WARN-logged, and \p stats is
-/// reset (mixed_fallback flagged) for the caller's fp64 run.
-bool run_mixed(const PCyclicMatrix& m, const std::vector<Pattern>& patterns,
-               const Selection& sel, const FsiOptions& opts, FsiStats& stats,
+/// tripped or an fp32 stage threw: the fallback is counted and WARN-logged,
+/// and \p stats is reset (mixed_fallback flagged) for the caller's fp64
+/// run.
+bool run_mixed(const PCyclicMatrix& m, const pcyclic::BlockOps& ops64,
+               const std::vector<Pattern>& patterns, const Selection& sel,
+               const FsiOptions& opts, FsiStats& stats,
                std::vector<SelectedInversion>& out) {
   obs::metrics::add(obs::metrics::Counter::MixedRuns, 1);
   const MixedGate gate = mixed_gate();
   std::string reason;
   try {
-    // The fp32 BlockOps feeds only the walks; count it as wrap work, like
-    // the fp64 convenience overload of fsi() counts BlockOps.
+    // The fp32 BlockOps demotes the caller's fp64 inverses, so a mixed call
+    // walks with the same fp32 inverses as a mixed run_fsi_batch task.  It
+    // feeds only the walks; count it as wrap work, like the fp64
+    // convenience overload of fsi() counts BlockOps.
     std::optional<pcyclic::BlockOpsF> ops;
     {
       StageMeter meter("fsi.blockops", stats.seconds_wrap, stats.flops_wrap);
-      ops.emplace(m);
+      std::vector<dense::Matrix> inv;
+      inv.reserve(static_cast<std::size_t>(m.num_blocks()));
+      for (index_t i = 0; i < m.num_blocks(); ++i)
+        inv.push_back(dense::Matrix::copy_of(ops64.inv(i)));
+      ops.emplace(m, std::move(inv));
     }
     FsiGraphTask<float> task = run_stages(m, *ops, patterns, sel, opts, stats);
     const char* verdict = mixed_gate_verdict(task, gate);
@@ -643,7 +650,7 @@ std::vector<SelectedInversion> fsi_multi(const PCyclicMatrix& m,
   local.q = q;
   std::vector<SelectedInversion> out;
   if (opts.precision != Precision::Mixed ||
-      !run_mixed(m, patterns, sel, opts, local, out)) {
+      !run_mixed(m, ops, patterns, sel, opts, local, out)) {
     FsiGraphTask<double> task = run_stages(m, ops, patterns, sel, opts, local);
     for (std::size_t i = 0; i < patterns.size(); ++i)
       residual_spot_check(m, task.results[i], patterns[i], sel);

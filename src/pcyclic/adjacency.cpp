@@ -2,6 +2,7 @@
 
 #include <exception>
 #include <type_traits>
+#include <utility>
 
 #include "fsi/dense/blas.hpp"
 #include "fsi/dense/lu.hpp"
@@ -53,6 +54,27 @@ BasicBlockOps<T>::BasicBlockOps(const PCyclicMatrix& m) : m_(m) {
     }
   }
   if (error) std::rethrow_exception(error);
+}
+
+template <typename T>
+BasicBlockOps<T>::BasicBlockOps(const PCyclicMatrix& m,
+                                std::vector<dense::Matrix> inverses)
+    : m_(m) {
+  FSI_CHECK(static_cast<index_t>(inverses.size()) == m.num_blocks(),
+            "BlockOps: need one inverse per block");
+  for (const dense::Matrix& x : inverses)
+    FSI_CHECK(x.rows() == m.block_size() && x.cols() == m.block_size(),
+              "BlockOps: inverses must be N x N");
+  if constexpr (std::is_same_v<T, float>) {
+    demoted_.reserve(inverses.size());
+    inv_.reserve(inverses.size());
+    for (index_t i = 0; i < m.num_blocks(); ++i) {
+      demoted_.push_back(dense::demoted(m.b(i)));
+      inv_.push_back(dense::demoted(inverses[static_cast<std::size_t>(i)]));
+    }
+  } else {
+    inv_ = std::move(inverses);
+  }
 }
 
 template <typename T>

@@ -76,7 +76,7 @@ GreenBlocks compute_green_blocks(const HubbardModel& model, const HsField& field
                                  bool coarse_parallel, bool time_dependent) {
   FSI_OBS_SPAN("dqmc.greens");
   const pcyclic::PCyclicMatrix m = model.build_m(field, spin);
-  const pcyclic::BlockOps ops(m);
+  const pcyclic::BlockOps ops(m, model.b_inverses(field, spin));
 
   // fsi_multi shares one CLS + BSOFI across all wrapping passes.  With
   // coarse_parallel on, Exec::Auto lowers the call onto the task-graph

@@ -64,28 +64,43 @@ HubbardModel::HubbardModel(Lattice lattice, HubbardParams params)
   }
 }
 
+std::vector<double> HubbardModel::hs_diagonal(const HsField& h, index_t slice,
+                                              Spin spin) const {
+  // h = +-1, so a spin has two factors; every site picks one of them.
+  const double up = hs_factor(1, spin), down = hs_factor(-1, spin);
+  std::vector<double> f(static_cast<std::size_t>(num_sites()));
+  for (index_t i = 0; i < num_sites(); ++i)
+    f[static_cast<std::size_t>(i)] = (h.at(slice, i) > 0) ? up : down;
+  return f;
+}
+
 Matrix HubbardModel::b_matrix(const HsField& h, index_t slice, Spin spin) const {
-  // B = expK * diag(e^{sigma nu h(l,:)}): scale the columns of expK.
+  // B = expK * diag(f): scale the columns of expK.
   const index_t n = num_sites();
+  const std::vector<double> f = hs_diagonal(h, slice, spin);
   Matrix b(n, n);
   dense::copy(expk_, b);
   for (index_t j = 0; j < n; ++j) {
-    const double f = hs_factor(h.at(slice, j), spin);
+    const double fj = f[static_cast<std::size_t>(j)];
     double* col = b.view().col(j);
-    for (index_t i = 0; i < n; ++i) col[i] *= f;
+    for (index_t i = 0; i < n; ++i) col[i] *= fj;
   }
   return b;
 }
 
 Matrix HubbardModel::b_matrix_inv(const HsField& h, index_t slice,
                                   Spin spin) const {
-  // B^-1 = diag(e^{-sigma nu h}) * expK^-1: scale the rows of expK^-1.
+  // B^-1 = diag(1 / f) * expK^-1: scale the rows of expK^-1, one column
+  // sweep at unit stride.
   const index_t n = num_sites();
+  std::vector<double> r = hs_diagonal(h, slice, spin);
+  for (double& v : r) v = 1.0 / v;
   Matrix b(n, n);
-  dense::copy(expk_inv_, b);
-  for (index_t i = 0; i < n; ++i) {
-    const double f = 1.0 / hs_factor(h.at(slice, i), spin);
-    for (index_t j = 0; j < n; ++j) b(i, j) *= f;
+  for (index_t j = 0; j < n; ++j) {
+    const double* src = expk_inv_.view().col(j);
+    double* dst = b.view().col(j);
+    for (index_t i = 0; i < n; ++i)
+      dst[i] = src[i] * r[static_cast<std::size_t>(i)];
   }
   return b;
 }
@@ -99,14 +114,25 @@ pcyclic::PCyclicMatrix HubbardModel::build_m(const HsField& h, Spin spin) const 
   return pcyclic::PCyclicMatrix(std::move(blocks));
 }
 
+std::vector<Matrix> HubbardModel::b_inverses(const HsField& h, Spin spin) const {
+  FSI_CHECK(h.num_slices() == params_.l && h.num_sites() == num_sites(),
+            "b_inverses: HS field shape mismatch");
+  std::vector<Matrix> inv;
+  inv.reserve(static_cast<std::size_t>(params_.l));
+  for (index_t l = 0; l < params_.l; ++l)
+    inv.push_back(b_matrix_inv(h, l, spin));
+  return inv;
+}
+
 void HubbardModel::multiply_b_left(const HsField& h, index_t slice, Spin spin,
                                    Matrix& g) const {
-  // g := expK * (D g) with D = diag(e^{sigma nu h}).
+  // g := expK * (diag(f) g).
   const index_t n = num_sites();
   FSI_CHECK(g.rows() == n, "multiply_b_left: dimension mismatch");
-  for (index_t i = 0; i < n; ++i) {
-    const double f = hs_factor(h.at(slice, i), spin);
-    for (index_t j = 0; j < g.cols(); ++j) g(i, j) *= f;
+  const std::vector<double> f = hs_diagonal(h, slice, spin);
+  for (index_t j = 0; j < g.cols(); ++j) {
+    double* col = g.view().col(j);
+    for (index_t i = 0; i < n; ++i) col[i] *= f[static_cast<std::size_t>(i)];
   }
   Matrix out(n, g.cols());
   dense::gemm(dense::Trans::No, dense::Trans::No, 1.0, expk_, g, 0.0, out);
@@ -115,13 +141,14 @@ void HubbardModel::multiply_b_left(const HsField& h, index_t slice, Spin spin,
 
 void HubbardModel::multiply_binv_right(const HsField& h, index_t slice,
                                        Spin spin, Matrix& g) const {
-  // g := (g D^-1) * expK^-1.
+  // g := (g diag(1 / f)) * expK^-1.
   const index_t n = num_sites();
   FSI_CHECK(g.cols() == n, "multiply_binv_right: dimension mismatch");
+  const std::vector<double> f = hs_diagonal(h, slice, spin);
   for (index_t j = 0; j < n; ++j) {
-    const double f = 1.0 / hs_factor(h.at(slice, j), spin);
+    const double r = 1.0 / f[static_cast<std::size_t>(j)];
     double* col = g.view().col(j);
-    for (index_t i = 0; i < g.rows(); ++i) col[i] *= f;
+    for (index_t i = 0; i < g.rows(); ++i) col[i] *= r;
   }
   Matrix out(g.rows(), n);
   dense::gemm(dense::Trans::No, dense::Trans::No, 1.0, g, expk_inv_, 0.0, out);

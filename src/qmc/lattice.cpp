@@ -1,6 +1,7 @@
 #include "fsi/qmc/lattice.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <queue>
 
 #include "fsi/util/check.hpp"
@@ -18,7 +19,7 @@ Lattice Lattice::from_edges(
 
 Lattice::Lattice(index_t num_sites,
                  const std::vector<std::pair<index_t, index_t>>& edges)
-    : nx_(num_sites), ny_(1) {
+    : nx_(num_sites), ny_(1), general_graph_(true) {
   FSI_CHECK(num_sites >= 1, "Lattice: need at least one site");
   const index_t n = num_sites;
   k_ = Matrix(n, n);
@@ -34,7 +35,8 @@ Lattice::Lattice(index_t num_sites,
   }
 
   // BFS distances (disconnected pairs get class dmax) and 2-colouring.
-  dist_table_.assign(static_cast<std::size_t>(n) * n, -1);
+  // Column src of the table holds the distances from src (symmetric).
+  class_table_.assign(static_cast<std::size_t>(n) * n, -1);
   parity_.assign(static_cast<std::size_t>(n), 1);
   std::vector<int> colour(static_cast<std::size_t>(n), -1);
   bool bipartite = true;
@@ -42,13 +44,13 @@ Lattice::Lattice(index_t num_sites,
   for (index_t src = 0; src < n; ++src) {
     std::queue<index_t> q;
     q.push(src);
-    dist_table_[static_cast<std::size_t>(src) * n + src] = 0;
+    class_table_[static_cast<std::size_t>(src) * n + src] = 0;
     while (!q.empty()) {
       const index_t u = q.front();
       q.pop();
-      const index_t du = dist_table_[static_cast<std::size_t>(src) * n + u];
+      const index_t du = class_table_[static_cast<std::size_t>(src) * n + u];
       for (index_t v : neighbors_[static_cast<std::size_t>(u)]) {
-        auto& dv = dist_table_[static_cast<std::size_t>(src) * n + v];
+        auto& dv = class_table_[static_cast<std::size_t>(src) * n + v];
         if (dv < 0) {
           dv = du + 1;
           max_dist = std::max(max_dist, dv);
@@ -59,20 +61,20 @@ Lattice::Lattice(index_t num_sites,
     // Colouring from the first source's BFS only.
     if (src == 0) {
       for (index_t v = 0; v < n; ++v) {
-        const index_t d = dist_table_[static_cast<std::size_t>(v)];
+        const index_t d = class_table_[static_cast<std::size_t>(v)];
         colour[static_cast<std::size_t>(v)] = (d < 0) ? 0 : (d % 2);
       }
     }
   }
-  // Disconnected pairs: put them in their own final class.
-  graph_dmax_ = max_dist + 1;
+  // Classes are 0..max_dist; disconnected pairs get their own final class.
+  num_classes_ = max_dist + 1;
   bool has_disconnected = false;
-  for (auto& d : dist_table_)
+  for (auto& d : class_table_)
     if (d < 0) {
-      d = graph_dmax_;
+      d = num_classes_;
       has_disconnected = true;
     }
-  if (has_disconnected) ++graph_dmax_;
+  if (has_disconnected) ++num_classes_;
 
   // Bipartiteness check: no edge may connect same-coloured sites.
   for (index_t u = 0; u < n; ++u)
@@ -123,6 +125,23 @@ Lattice::Lattice(index_t nx, index_t ny) : nx_(nx), ny_(ny) {
     neighbors_[static_cast<std::size_t>(s)] = std::move(nbr);
   }
 
+  // Distance classes: |dx| and |dy| folded into [0, n/2], enumerated
+  // x-fastest; parity (-1)^(x+y).
+  num_classes_ = (nx_ / 2 + 1) * (ny_ / 2 + 1);
+  class_table_.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
+  parity_.resize(static_cast<std::size_t>(n));
+  for (index_t j = 0; j < n; ++j) {
+    parity_[static_cast<std::size_t>(j)] =
+        ((x_of(j) + y_of(j)) % 2 == 0) ? 1 : -1;
+    for (index_t i = 0; i < n; ++i) {
+      index_t dx = std::abs(x_of(i) - x_of(j));
+      dx = std::min(dx, nx_ - dx);
+      index_t dy = std::abs(y_of(i) - y_of(j));
+      dy = std::min(dy, ny_ - dy);
+      class_table_[static_cast<std::size_t>(j) * static_cast<std::size_t>(n) +
+                   static_cast<std::size_t>(i)] = dx + dy * (nx_ / 2 + 1);
+    }
+  }
   build_class_sizes();
 }
 
@@ -133,24 +152,6 @@ index_t Lattice::site(index_t x, index_t y) const {
 const std::vector<index_t>& Lattice::neighbors(index_t s) const {
   FSI_CHECK(s >= 0 && s < num_sites(), "Lattice: site out of range");
   return neighbors_[static_cast<std::size_t>(s)];
-}
-
-index_t Lattice::distance_class(index_t i, index_t j) const {
-  FSI_ASSERT(i >= 0 && i < num_sites() && j >= 0 && j < num_sites());
-  if (!dist_table_.empty())
-    return dist_table_[static_cast<std::size_t>(i) * num_sites() + j];
-  index_t dx = std::abs(x_of(i) - x_of(j));
-  dx = std::min(dx, nx_ - dx);
-  index_t dy = std::abs(y_of(i) - y_of(j));
-  dy = std::min(dy, ny_ - dy);
-  return dx + dy * (nx_ / 2 + 1);
-}
-
-index_t Lattice::num_distance_classes() const {
-  // General graphs: classes are 0..max_dist (+1 for disconnected pairs);
-  // graph_dmax_ already holds that count.
-  if (!dist_table_.empty()) return graph_dmax_;
-  return (nx_ / 2 + 1) * (ny_ / 2 + 1);
 }
 
 }  // namespace fsi::qmc

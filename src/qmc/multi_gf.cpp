@@ -104,9 +104,10 @@ void run_fine_granularity(const HubbardModel& model,
 
 namespace {
 
-/// run_fsi_batch at stage scalar T: per task and spin, a Build node (M and
-/// the BlockOps at T) in front of the FSI pipeline emit_fsi_tasks lowers;
-/// for T = float a per-task gate node; then the task's Measure node.
+/// run_fsi_batch at stage scalar T: per task and spin, a Build node (M, and
+/// the BlockOps at T from the model's closed-form B^-1) in front of the FSI
+/// pipeline emit_fsi_tasks lowers; for T = float a per-task gate node; then
+/// the task's Measure node.
 template <typename T>
 std::vector<Measurements> run_batch(const HubbardModel& model,
                                     const std::vector<FsiBatchTask>& tasks,
@@ -185,7 +186,8 @@ std::vector<Measurements> run_batch(const HubbardModel& model,
             FSI_OBS_SPAN("qmc.build_m");
             sw->mat = std::make_unique<pcyclic::PCyclicMatrix>(
                 model.build_m(task.field, spin));
-            sw->ops = std::make_unique<pcyclic::BasicBlockOps<T>>(*sw->mat);
+            sw->ops = std::make_unique<pcyclic::BasicBlockOps<T>>(
+                *sw->mat, model.b_inverses(task.field, spin));
             sw->fsi.m = sw->mat.get();
             sw->fsi.ops = sw->ops.get();
           },
@@ -205,7 +207,7 @@ std::vector<Measurements> run_batch(const HubbardModel& model,
     sched::NodeId gate_node = 0;
     if constexpr (kMixed) {
       gate_node = graph.add_node(
-          [tw, t, c, q = task.q, &mixed_tasks, &mixed_fallbacks](int) {
+          [&model, &task, tw, t, c, &mixed_tasks, &mixed_fallbacks](int) {
             mixed_tasks.fetch_add(1, std::memory_order_relaxed);
             obs::metrics::add(obs::metrics::Counter::MixedRuns, 1);
             const selinv::MixedGate gate = selinv::mixed_gate();
@@ -227,13 +229,15 @@ std::vector<Measurements> run_batch(const HubbardModel& model,
                          {"cond_max", gate.cond_max});
             selinv::FsiOptions fp64;
             fp64.c = c;
-            fp64.q = q;
+            fp64.q = task.q;
             fp64.coarse_parallel = false;
             fp64.precision = Precision::Fp64;
             util::Rng unused(0);  // q is fixed
             for (SpinWork* s : {&tw->up, &tw->dn}) {
               s->fsi.results.clear();
-              const pcyclic::BlockOps ops(*s->mat);
+              const Spin spin = (s == &tw->up) ? Spin::Up : Spin::Down;
+              const pcyclic::BlockOps ops(*s->mat,
+                                          model.b_inverses(task.field, spin));
               s->fsi.results =
                   selinv::fsi_multi(*s->mat, ops, s->fsi.patterns, fp64, unused);
             }
@@ -392,7 +396,7 @@ MultiGfResult run_parallel_fsi(const HubbardModel& model,
           fsi_opts.precision = Precision::Fp64;
           auto compute = [&](Spin spin) {
             const pcyclic::PCyclicMatrix mat = model.build_m(field, spin);
-            const pcyclic::BlockOps ops(mat);
+            const pcyclic::BlockOps ops(mat, model.b_inverses(field, spin));
             return selinv::fsi_multi(mat, ops, task_patterns(heavy), fsi_opts,
                                      task_rng);
           };

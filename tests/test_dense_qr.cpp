@@ -11,6 +11,7 @@
 #include "fsi/dense/blas.hpp"
 #include "fsi/dense/norms.hpp"
 #include "fsi/dense/qr.hpp"
+#include "fsi/util/flops.hpp"
 #include "testing.hpp"
 
 namespace {
@@ -266,6 +267,32 @@ TYPED_TEST(TypedQrp, RankRevealingOnGradedMatrix) {
 
 TEST(Qrp, WideMatrixThrows) {
   EXPECT_THROW(QrpFactorization(Matrix(3, 5)), util::CheckError);
+}
+
+TEST(QrFlops, PanelFactorizationsCreditTheTextbookCount) {
+  // BSOFI's panel at N = 36: a 72 x 36 Householder QR performs
+  // 2mn^2 - 2n^3/3 flops, counted once by the reflector applications.
+  const index_t m = 72, n = 36;
+  const double textbook = 2.0 * m * n * n - 2.0 / 3.0 * n * n * n;
+  util::Rng rng(71);
+  const Matrix a = random_matrix(m, n, rng);
+  {
+    Matrix work = Matrix::copy_of(a);
+    std::vector<double> tau;
+    const util::flops::Scope scope;
+    geqrf<double>(work, tau);
+    EXPECT_NEAR(static_cast<double>(scope.elapsed()), textbook,
+                0.03 * textbook);
+  }
+  {
+    Matrix work = Matrix::copy_of(a);
+    std::vector<double> tau;
+    std::vector<index_t> jpvt;
+    const util::flops::Scope scope;
+    geqp3<double>(work, tau, jpvt);
+    EXPECT_NEAR(static_cast<double>(scope.elapsed()), textbook,
+                0.03 * textbook);
+  }
 }
 
 }  // namespace

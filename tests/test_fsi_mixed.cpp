@@ -34,6 +34,7 @@ using dense::index_t;
 using dense::Matrix;
 using dense::MatrixF;
 using fsi::testing::expect_close;
+using fsi::testing::kFloatTol;
 
 /// Restore the process-wide mixed gate on scope exit (tests below lower it
 /// to force fallbacks).
@@ -42,8 +43,6 @@ struct GateGuard {
   ~GateGuard() { selinv::set_mixed_gate(saved); }
 };
 
-/// |fp32 result - fp64 twin| within float round-off for O(1) blocks.
-constexpr double kFloatTol = 1e-4;
 
 pcyclic::PCyclicMatrix hubbard_matrix(index_t n, index_t l, double u,
                                       double beta, std::uint64_t seed) {
@@ -506,7 +505,8 @@ TEST(FsiMixedBatch, BitIdenticalAcrossRepeatedRunsAndWorkerCounts) {
 // ---- run_fsi_batch's per-task contract -----------------------------------
 
 /// What run_fsi_batch documents for one task: fsi_multi on the task's two
-/// matrices, then the measurement accumulators.  A mixed task is gated as
+/// matrices (BlockOps from the model's closed-form inverses), then the
+/// measurement accumulators.  A mixed task is gated as
 /// a whole, so when either spin falls back both spins are fp64.
 qmc::Measurements fsi_multi_reference(const qmc::HubbardModel& model,
                                       const qmc::FsiBatchTask& task,
@@ -519,7 +519,10 @@ qmc::Measurements fsi_multi_reference(const qmc::HubbardModel& model,
   const pcyclic::PCyclicMatrix m_up = model.build_m(task.field, qmc::Spin::Up);
   const pcyclic::PCyclicMatrix m_dn =
       model.build_m(task.field, qmc::Spin::Down);
-  const pcyclic::BlockOps ops_up(m_up), ops_dn(m_dn);
+  const pcyclic::BlockOps ops_up(m_up,
+                               model.b_inverses(task.field, qmc::Spin::Up));
+  const pcyclic::BlockOps ops_dn(m_dn,
+                               model.b_inverses(task.field, qmc::Spin::Down));
   selinv::FsiOptions opts;
   opts.c = c;
   opts.q = task.q;

@@ -92,12 +92,27 @@ TEST(HubbardModel, BMatrixStructure) {
 }
 
 TEST(HubbardModel, BInverseIsAnalyticInverse) {
-  HubbardModel model = make_model(5, 4);
   util::Rng rng(504);
   HsField h(4, 5, rng);
-  Matrix b = model.b_matrix(h, 1, Spin::Down);
-  Matrix binv = model.b_matrix_inv(h, 1, Spin::Down);
-  expect_close(dense::matmul(b, binv), Matrix::identity(5), 1e-12, "B B^-1");
+  for (const Kinetic kinetic : {Kinetic::Exact, Kinetic::Checkerboard}) {
+    HubbardParams p;
+    p.l = 4;
+    p.kinetic = kinetic;
+    const HubbardModel model(Lattice::chain(5), p);
+    for (Spin spin : {Spin::Up, Spin::Down}) {
+      const std::vector<Matrix> inv = model.b_inverses(h, spin);
+      ASSERT_EQ(inv.size(), 4u);
+      for (index_t l = 0; l < 4; ++l) {
+        SCOPED_TRACE("slice " + std::to_string(l));
+        const Matrix binv = model.b_matrix_inv(h, l, spin);
+        expect_close(inv[static_cast<std::size_t>(l)], binv, 0.0,
+                     "b_inverses vs b_matrix_inv");
+        expect_close(dense::matmul(model.b_matrix(h, l, spin), binv),
+                     Matrix::identity(5), 1e-13, "B B^-1");
+      }
+    }
+  }
+  EXPECT_THROW(make_model(5, 3).b_inverses(h, Spin::Up), util::CheckError);
 }
 
 TEST(HubbardModel, BuildMMatchesBlockwiseConstruction) {

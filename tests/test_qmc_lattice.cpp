@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <string>
+
 #include "fsi/qmc/dqmc.hpp"
 #include "fsi/qmc/lattice.hpp"
 #include "fsi/util/check.hpp"
@@ -91,6 +95,32 @@ TEST(Lattice, PeriodicDistanceFolding) {
 TEST(Lattice, InvalidSizesThrow) {
   EXPECT_THROW(Lattice::chain(0), util::CheckError);
   EXPECT_THROW(Lattice::rectangle(0, 3), util::CheckError);
+}
+
+TEST(Lattice, ClassTableAndParityMatchTheFormulas) {
+  // The tables read back what the folded-displacement and (-1)^(x+y)
+  // formulas give, on odd and even extents.
+  for (const Lattice& lat : {Lattice::chain(5), Lattice::rectangle(4, 4),
+                             Lattice::rectangle(5, 3),
+                             Lattice::rectangle(6, 6)}) {
+    SCOPED_TRACE(std::to_string(lat.nx()) + "x" + std::to_string(lat.ny()));
+    EXPECT_FALSE(lat.is_general_graph());
+    EXPECT_EQ(lat.num_distance_classes(),
+              (lat.nx() / 2 + 1) * (lat.ny() / 2 + 1));
+    for (index_t j = 0; j < lat.num_sites(); ++j) {
+      EXPECT_EQ(lat.parity(j),
+                (lat.x_of(j) + lat.y_of(j)) % 2 == 0 ? 1 : -1);
+      for (index_t i = 0; i < lat.num_sites(); ++i) {
+        index_t dx = std::abs(lat.x_of(i) - lat.x_of(j));
+        dx = std::min(dx, lat.nx() - dx);
+        index_t dy = std::abs(lat.y_of(i) - lat.y_of(j));
+        dy = std::min(dy, lat.ny() - dy);
+        EXPECT_EQ(lat.distance_class(i, j), dx + dy * (lat.nx() / 2 + 1))
+            << "i=" << i << " j=" << j;
+      }
+    }
+  }
+  EXPECT_TRUE(Lattice::from_edges(3, {{0, 1}, {1, 2}}).is_general_graph());
 }
 
 }  // namespace

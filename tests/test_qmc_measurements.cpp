@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
 
 #include "fsi/dense/expm.hpp"
 #include "fsi/dense/lu.hpp"
@@ -238,6 +240,104 @@ TEST(Spxx, SerialAndParallelAgree) {
   for (index_t tau = 0; tau < l; ++tau)
     for (index_t d = 0; d < dmax; ++d)
       EXPECT_NEAR(par.spxx(tau, d), ser.spxx(tau, d), 1e-13);
+}
+
+/// D(i, j) by the rectangle's folded-displacement formula.
+index_t class_by_formula(const Lattice& lat, index_t i, index_t j) {
+  index_t dx = std::abs(lat.x_of(i) - lat.x_of(j));
+  dx = std::min(dx, lat.nx() - dx);
+  index_t dy = std::abs(lat.y_of(i) - lat.y_of(j));
+  dy = std::min(dy, lat.ny() - dy);
+  return dx + dy * (lat.nx() / 2 + 1);
+}
+
+/// The staggering sign (-1)^(x+y) by formula.
+int parity_by_formula(const Lattice& lat, index_t s) {
+  return ((lat.x_of(s) + lat.y_of(s)) % 2 == 0) ? 1 : -1;
+}
+
+TEST(Spxx, TableLookupsMatchPerElementFormulaLoop) {
+  // accumulate_spxx and accumulate_equal_time read D(i, j) and the parity
+  // from the lattice's tables; the same loops written with the formulas,
+  // in the same order, must give the same sums bit for bit.
+  const index_t l = 6, c = 2, q = 1;
+  HubbardParams p;
+  p.l = l;
+  HubbardModel model(Lattice::rectangle(3, 4), p);  // odd and even extents
+  const Lattice& lat = model.lattice();
+  const index_t n = lat.num_sites();
+  util::Rng rng(706);
+  HsField h(l, n, rng);
+  Blocks up = fsi_blocks(model, h, Spin::Up, c, q);
+  Blocks dn = fsi_blocks(model, h, Spin::Down, c, q);
+  const index_t dmax = lat.num_distance_classes();
+  const double sign = -1.0;
+
+  Measurements got(l, dmax);
+  accumulate_spxx(lat, up.rows, up.cols, dn.rows, dn.cols, sign, false, got);
+  accumulate_equal_time(lat, up.diag, dn.diag, p.t, sign, false, got);
+
+  Measurements want(l, dmax);
+  std::vector<index_t> sizes(static_cast<std::size_t>(dmax), 0);
+  for (index_t i = 0; i < n; ++i)
+    for (index_t j = 0; j < n; ++j)
+      ++sizes[static_cast<std::size_t>(class_by_formula(lat, i, j))];
+  const auto selected = up.rows.selection().indices();
+  const double c_tau = static_cast<double>(selected.size());
+  for (index_t k : selected)
+    for (index_t tau = 0; tau < l; ++tau) {
+      const index_t ell = ((k - tau) % l + l) % l;
+      const Matrix& gu_kl = up.rows.at(k, ell);
+      const Matrix& gd_lk = dn.cols.at(ell, k);
+      const Matrix& gd_kl = dn.rows.at(k, ell);
+      const Matrix& gu_lk = up.cols.at(ell, k);
+      std::vector<double> buf(static_cast<std::size_t>(dmax), 0.0);
+      for (index_t j = 0; j < n; ++j)
+        for (index_t i = 0; i < n; ++i) {
+          // Same expression as accumulate_spxx, so FMA contraction (if the
+          // build enables it) matches too.
+          const double v =
+              gu_kl(i, j) * gd_lk(j, i) + gd_kl(i, j) * gu_lk(j, i);
+          buf[static_cast<std::size_t>(class_by_formula(lat, i, j))] += v;
+        }
+      for (index_t d = 0; d < dmax; ++d)
+        want.add_spxx(tau, d,
+                      sign * buf[static_cast<std::size_t>(d)] /
+                          (2.0 * c_tau *
+                           static_cast<double>(
+                               sizes[static_cast<std::size_t>(d)])));
+    }
+
+  double den_up = 0.0, den_dn = 0.0, docc = 0.0, kin = 0.0, af = 0.0;
+  for (const auto& [k, kk] : up.diag.keys()) {
+    const Matrix& gu = up.diag.at(k, kk);
+    const Matrix& gd = dn.diag.at(k, kk);
+    for (index_t i = 0; i < n; ++i) {
+      const double nu_i = 1.0 - gu(i, i);
+      const double nd_i = 1.0 - gd(i, i);
+      den_up += nu_i;
+      den_dn += nd_i;
+      docc += nu_i * nd_i;
+      for (index_t j : lat.neighbors(i)) kin += p.t * (gu(j, i) + gd(j, i));
+      const double m_i = nu_i - nd_i;
+      for (index_t j = 0; j < n; ++j) {
+        const double m_j = (1.0 - gu(j, j)) - (1.0 - gd(j, j));
+        const double delta = (i == j) ? 1.0 : 0.0;
+        const double wick = (delta - gu(j, i)) * gu(i, j) +
+                            (delta - gd(j, i)) * gd(i, j);
+        af += parity_by_formula(lat, i) * parity_by_formula(lat, j) *
+              (m_i * m_j + wick);
+      }
+    }
+  }
+  const double norm =
+      static_cast<double>(up.diag.keys().size()) * static_cast<double>(n);
+  want.add_density(sign * den_up / norm, sign * den_dn / norm);
+  want.add_double_occupancy(sign * docc / norm);
+  want.add_kinetic_energy(sign * kin / norm);
+  want.add_af_structure_factor(sign * af / norm);
+
+  EXPECT_EQ(got.serialize(), want.serialize());
 }
 
 TEST(Spxx, MismatchedPatternsThrow) {

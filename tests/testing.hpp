@@ -47,6 +47,9 @@ inline void naive_gemm(dense::Trans ta, dense::Trans tb, double alpha,
   }
 }
 
+/// |fp32 result - fp64 twin| within float round-off for O(1) blocks.
+inline constexpr double kFloatTol = 1e-4;
+
 /// EXPECT helper: Frobenius-relative difference below tolerance.
 inline void expect_close(dense::ConstMatrixView actual,
                          dense::ConstMatrixView expected, double tol,
