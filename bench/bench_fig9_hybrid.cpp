@@ -13,8 +13,11 @@
 /// node model (which configs OOM, analytically, matching the paper's
 /// 2.65 GB/rank arithmetic), (b) projects the aggregate Tflops for each
 /// feasible configuration from a *measured* single-core FSI rate and the
-/// scaling model, and (c) actually RUNS Alg. 3 on mini-MPI ranks at a
-/// reduced size to demonstrate the scatter/FSI/reduce pipeline end-to-end.
+/// scaling model, and (c) actually RUNS Alg. 3 at a reduced size through
+/// run_parallel_fsi: fields derived on the caller, every task's FSI stages
+/// as stealable nodes on --demo-ranks graph workers, a task-ordered merge.
+/// (d) and (e) measure the static-vs-stealing balance on a skewed batch and
+/// the per-batch dispatch cost of mini-MPI rank teams.
 ///
 ///   ./bench_fig9_hybrid [--N 96] [--L 40] [--c 5] [--demo-ranks 4]
 
@@ -103,7 +106,7 @@ int main(int argc, char** argv) {
       "N >= 576 (paper: 12 ranks/socket x 2.65 GB = 31.8 GB > socket memory);\n"
       "hybrid rows stay feasible and deliver 20-31 Tflops.\n\n");
 
-  // (c) functional demonstration of Alg. 3 on mini-MPI.
+  // (c) functional demonstration of Alg. 3 on the graph executor.
   const int demo_ranks = cli.get_int("demo-ranks", 4);
   qmc::HubbardParams params;
   params.l = l_meas;
@@ -115,17 +118,17 @@ int main(int argc, char** argv) {
   opt.omp_threads_per_rank = 1;
   opt.cluster_size = c_meas;
   qmc::MultiGfResult r = qmc::run_parallel_fsi(model, opt);
-  std::printf("mini-MPI demo (measured): %d matrices on %d ranks -> "
+  std::printf("Alg. 3 demo (measured): %d matrices on %d graph workers -> "
               "%.2f Gflops aggregate, <n> = %.3f, sign = %.1f\n",
               opt.num_matrices, demo_ranks, r.gflops(), r.global.density(),
               r.global.avg_sign());
-  std::printf("  scheduler: %llu steal batches, %llu tasks migrated\n\n",
+  std::printf("  executor: %llu steal batches, %llu nodes migrated\n\n",
               static_cast<unsigned long long>(r.sched.steal_batches),
               static_cast<unsigned long long>(r.sched.stolen_tasks));
 
   // (d) scheduler A/B on a skewed batch: only the leading quarter of the
   // tasks computes the Rows/Columns passes, so the contiguous static split
-  // overloads the low ranks.  One warmup batch first, so both timed runs
+  // overloads the low workers.  One warmup batch first, so both timed runs
   // start with warm executor threads and caches.
   qmc::MultiGfOptions skew = opt;
   skew.num_matrices = demo_ranks * 4;
@@ -144,7 +147,7 @@ int main(int argc, char** argv) {
               util::Table::num(steal.sched.balance(), 2),
               util::Table::num((long long)steal.sched.stolen_tasks)});
   std::printf("scheduler A/B on a skewed batch (%d matrices, heavy fraction "
-              "%.2f, %d ranks):\n",
+              "%.2f, %d workers):\n",
               skew.num_matrices, skew.heavy_fraction, demo_ranks);
   ab.print();
 
@@ -178,20 +181,16 @@ int main(int argc, char** argv) {
               dispatch_reps, demo_ranks, dispatch_us_persistent,
               dispatch_us_spawn, dispatch_speedup);
 
-  // Graph-granularity telemetry from the stealing run of section (d): node
-  // count, critical path and per-stage busy seconds (zero when FSI_EXEC=0
-  // forced the batch back onto the coarse BatchScheduler path).
-  if (steal.sched.graph_nodes > 0) {
-    std::printf("\ntask-graph telemetry (stealing run): %llu nodes, critical "
-                "path %.3f s,\n  mean ready depth %.1f, stage busy s: build "
-                "%.3f cls %.3f bsofi %.3f wrap %.3f measure %.3f\n",
-                static_cast<unsigned long long>(steal.sched.graph_nodes),
-                steal.sched.critical_path_seconds,
-                steal.sched.ready_depth_mean, steal.sched.stage_build_seconds,
-                steal.sched.stage_cls_seconds, steal.sched.stage_bsofi_seconds,
-                steal.sched.stage_wrap_seconds,
-                steal.sched.stage_measure_seconds);
-  }
+  // Task-graph telemetry from the stealing run of section (d): node count,
+  // critical path and per-stage busy seconds.
+  std::printf("\ntask-graph telemetry (stealing run): %llu nodes, critical "
+              "path %.3f s,\n  mean ready depth %.1f, stage busy s: build "
+              "%.3f cls %.3f bsofi %.3f wrap %.3f measure %.3f\n",
+              static_cast<unsigned long long>(steal.sched.graph_nodes),
+              steal.sched.critical_path_seconds, steal.sched.ready_depth_mean,
+              steal.sched.stage_build_seconds, steal.sched.stage_cls_seconds,
+              steal.sched.stage_bsofi_seconds, steal.sched.stage_wrap_seconds,
+              steal.sched.stage_measure_seconds);
 
   telemetry.add_info("N", static_cast<double>(n_meas));
   telemetry.add_info("L", static_cast<double>(l_meas));

@@ -1,21 +1,22 @@
 /// \file manygf_hybrid.cpp
-/// \brief Hybrid parallel application of FSI to many Green's functions
-/// (paper Alg. 3 / Fig. 5), on the in-process mini-MPI runtime.
+/// \brief Parallel application of FSI to many Green's functions (paper
+/// Alg. 3 / Fig. 5) on the persistent graph executor.
 ///
-/// The root rank generates random Hubbard-Stratonovich fields and scatters
-/// them; each rank builds its Hubbard matrices, runs FSI with OpenMP inside
-/// and accumulates local physical measurements; a Reduce aggregates them —
-/// the exact communication structure of the paper's production runs,
-/// executable on one machine.
+/// The caller generates random Hubbard-Stratonovich fields (Alg. 3's root);
+/// each task builds its Hubbard matrices, runs FSI and accumulates its
+/// physical measurements, and the per-task results are merged in task
+/// order.  Every task's FSI stages are task-graph nodes spread over
+/// --ranks workers, each with an OpenMP team of --threads.
 ///
 ///   ./manygf_hybrid [--matrices 8] [--ranks 2] [--threads 1]
 ///                   [--N 24] [--L 16] [--c 4]
 ///                   [--static] [--heavy-fraction 1.0]
 ///
-/// --static freezes the scheduler to the contiguous split (Alg. 3's
-/// original distribution); --heavy-fraction < 1 skews the batch so that
-/// only the leading fraction computes the Rows/Columns passes — run both
-/// modes on a skewed batch to watch work stealing flatten the balance.
+/// --static pins every node to the worker owning its task (Alg. 3's
+/// original contiguous distribution); --heavy-fraction < 1 skews the batch
+/// so that only the leading fraction computes the Rows/Columns passes —
+/// run both modes on a skewed batch to watch work stealing flatten the
+/// balance.
 
 #include <cstdio>
 
@@ -46,8 +47,8 @@ int main(int argc, char** argv) {
   opt.seed = 2024;
 
   std::printf(
-      "Alg. 3: selected inversions of %d Hubbard matrices on %d mini-MPI "
-      "ranks x %d OpenMP threads\n",
+      "Alg. 3: selected inversions of %d Hubbard matrices on %d graph "
+      "workers x %d OpenMP threads\n",
       opt.num_matrices, opt.num_ranks, opt.omp_threads_per_rank);
 
   qmc::MultiGfResult r = qmc::run_parallel_fsi(model, opt);
@@ -64,7 +65,7 @@ int main(int argc, char** argv) {
                              ? "static split"
                              : "work stealing"});
   t.add_row({"steal batches", util::Table::num((long long)r.sched.steal_batches)});
-  t.add_row({"tasks migrated", util::Table::num((long long)r.sched.stolen_tasks)});
+  t.add_row({"nodes migrated", util::Table::num((long long)r.sched.stolen_tasks)});
   t.add_row({"balance (max/mean busy)", util::Table::num(r.sched.balance(), 2)});
   t.print();
   return 0;

@@ -49,10 +49,6 @@ class BasicLuFactorization {
   /// Solve A X = B in-place.
   void solve(BasicMatrixView<T> b) const { solve(Trans::No, b); }
 
-  /// Solve X A = B in-place (right division — used by the adjacency
-  /// relations G_{k,l+1} = G_{k,l} B_{l+1}^{-1} of the paper's Eq. 7).
-  void solve_right(BasicMatrixView<T> b) const;
-
   /// Explicit inverse A^{-1} (DGETRI: triangular inversion + column sweeps).
   BasicMatrix<T> inverse() const;
 

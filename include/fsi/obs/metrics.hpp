@@ -39,8 +39,6 @@ enum class Counter : int {
   // rows, which read them.
   PoolHits,        ///< always 0 (see above)
   PoolMisses,      ///< always 0 (see above)
-  SchedTasks,      ///< batch-scheduler tasks executed
-  SchedSteals,     ///< successful steal-half operations
   ExecNodes,       ///< task-graph nodes executed by the executor
   ExecSteals,      ///< successful steal-half operations in graph runs
   ServeRequests,   ///< inversion requests admitted by the serve front end
@@ -108,8 +106,6 @@ enum class Hist : int {
   WrapDrift = 0,  ///< ||G_wrap - G_recompute||_max at each stabilisation
   Cond1Reduced,   ///< 1-norm condition estimate of the reduced BSOFI matrix
   SelResidual,    ///< sampled ||(M G_sel - I) block||_max spot checks
-  TaskSeconds,    ///< per-task wall time in the batch scheduler
-  QueueDepth,     ///< own-deque depth sampled at each scheduler pop
   ReadyDepth,     ///< own-deque depth sampled at each graph-executor pop
   NodeSeconds,    ///< per-node wall time in the graph executor
   ServeLatency,   ///< serve request latency (arrival -> response), seconds
@@ -208,7 +204,6 @@ enum class Gauge : int {
   WrapInterval = 0,   ///< DQMC stabilisation interval currently in effect
   FlushToZero,        ///< 1 when FTZ/DAZ was enabled on the main thread
   HealthSampleEvery,  ///< residual spot-check sampling period (0 = off)
-  SchedWorkers,       ///< workers of the most recent batch scheduler
   ExecPoolWorkers,    ///< threads currently in the persistent executor pool
   ServeQueueDepth,    ///< serve admission-queue depth (sampled on change)
   ServePolicyWindowUs,  ///< adaptive policy: effective window of the active key

@@ -1,24 +1,25 @@
 #pragma once
 /// \file multi_gf.hpp
 /// \brief Parallel application of FSI to many Green's functions
-/// (paper Alg. 3 / Fig. 5) over the mini-MPI + OpenMP hybrid.
+/// (paper Alg. 3 / Fig. 5) on the persistent graph executor.
 ///
 /// DQMC needs selected inversions of tens of thousands of Hubbard matrices.
 /// The matrices are parameterised by the Hubbard-Stratonovich field, so —
-/// exactly as the paper prescribes — the root rank generates the random
-/// fields and broadcasts *them* (not the matrices) to the MPI ranks; each
-/// rank builds its matrices locally, runs FSI with OpenMP inside, computes
-/// local measurement quantities in the OpenMP region, and the root merges
-/// the global measurements.
+/// exactly as the paper prescribes — the caller stands in for the root rank:
+/// it generates the random fields (not the matrices), each task builds its
+/// matrices locally, runs FSI and computes its measurement quantities, and
+/// the per-task results are merged into the global measurements.
 ///
-/// Task distribution goes through sched::BatchScheduler: every rank is
-/// preloaded with the contiguous static share [r*m/R, (r+1)*m/R) and idle
-/// ranks steal the back half of a victim's backlog, so heterogeneous batches
-/// (see \ref MultiGfOptions::heavy_fraction) balance automatically.  The
-/// result is bit-identical regardless of rank count, thread count or steal
-/// order: each task derives its wrapping offset q from (seed, task index)
-/// alone, accumulates its measurements serially into a per-task buffer, and
-/// the root merges the buffers in ascending task order.
+/// Every task and spin is lowered into one task graph (build -> cluster
+/// products -> BSOFI -> seed walks -> measure) on sched::Executor.  Each
+/// worker's deque is preloaded with the contiguous static share
+/// [w*m/W, (w+1)*m/W) of the tasks' nodes, and idle workers steal the back
+/// half of a victim's backlog, so heterogeneous batches (see
+/// \ref MultiGfOptions::heavy_fraction) balance automatically.  The result
+/// is bit-identical regardless of worker count, team size or steal order:
+/// each task derives its wrapping offset q from (seed, task index) alone,
+/// accumulates its measurements serially into a per-task buffer, and the
+/// buffers are merged in ascending task order.
 
 #include <cstdint>
 #include <vector>
@@ -29,54 +30,43 @@
 
 namespace fsi::qmc {
 
-/// How the batch of matrices is spread over the mini-MPI ranks.
+/// How the batch's graph nodes are spread over the executor's workers.
 enum class Schedule {
-  WorkStealing,  ///< stealing on (default; batch scheduler or graph executor)
-  Static,        ///< frozen contiguous split — the paper's Alg. 3 baseline
-};
-
-/// At which level the batch is decomposed into stealable units.
-enum class Granularity {
-  Auto,    ///< Fine when the FSI_EXEC env flag (default on) allows it
-  Coarse,  ///< one unit per matrix: mini-MPI ranks + BatchScheduler (Alg. 3)
-  Fine,    ///< one unit per FSI stage node: matrix assembly, each cluster
-           ///< product, BSOFI and each seed walk become task-graph nodes on
-           ///< the persistent executor pool, so a straggler matrix's b^2
-           ///< seed walks are stolen by idle workers.  Shared-memory only
-           ///< (no mini-MPI messaging); bit-identical to Coarse.
+  WorkStealing,  ///< idle workers steal from busy ones (default)
+  Static,        ///< nodes never leave the worker owning their task: the
+                 ///< frozen contiguous split, the paper's Alg. 3 baseline
 };
 
 /// Options of one hybrid run (paper Fig. 9 sweeps ranks x threads with the
 /// product fixed at the machine's core count).
 struct MultiGfOptions {
   index_t num_matrices = 8;      ///< total Hubbard matrices (per spin pair)
-  int num_ranks = 2;             ///< mini-MPI ranks
-  int omp_threads_per_rank = 0;  ///< 0 = leave the OpenMP default
+  int num_ranks = 2;             ///< graph workers (Alg. 3's ranks)
+  int omp_threads_per_rank = 0;  ///< OpenMP team size per worker (0 = default)
   index_t cluster_size = 0;      ///< 0 = divisor of L nearest sqrt(L)
   bool measure_time_dependent = true;
   /// Fraction of the batch (front-loaded) that also computes the Rows /
   /// Columns wrapping passes and SPXX; the rest measures equal-time only.
   /// 1.0 = homogeneous batch; < 1.0 makes the batch skewed — the contiguous
-  /// static split then overloads the low ranks, which is exactly the
+  /// static split then overloads the low workers, which is exactly the
   /// imbalance work stealing is there to fix.  Ignored (treated as 0) when
   /// measure_time_dependent is false.
   double heavy_fraction = 1.0;
   Schedule schedule = Schedule::WorkStealing;
-  Granularity granularity = Granularity::Auto;
   std::uint64_t seed = 99;
 };
 
-/// Scheduler telemetry of one run_parallel_fsi call.
+/// Executor telemetry of one run_parallel_fsi / run_fsi_batch call.
 struct SchedSummary {
-  int workers = 0;                  ///< mini-MPI ranks driving the batch
+  int workers = 0;                  ///< graph workers driving the batch
   std::uint32_t tasks = 0;          ///< matrices scheduled
-  std::uint64_t steal_batches = 0;  ///< successful steals across all ranks
-  std::uint64_t stolen_tasks = 0;   ///< tasks that migrated via stealing
-  double busy_max_seconds = 0.0;    ///< busiest rank's in-task wall time
-  double busy_mean_seconds = 0.0;   ///< mean in-task wall time per rank
-  std::vector<double> busy_seconds; ///< per-worker in-task wall time
+  std::uint64_t steal_batches = 0;  ///< successful steals across all workers
+  std::uint64_t stolen_tasks = 0;   ///< graph nodes that migrated via stealing
+  double busy_max_seconds = 0.0;    ///< busiest worker's in-node wall time
+  double busy_mean_seconds = 0.0;   ///< mean in-node wall time per worker
+  std::vector<double> busy_seconds; ///< per-worker in-node wall time
 
-  // --- graph-granularity telemetry (zero in Coarse mode) ------------------
+  // --- task-graph telemetry -------------------------------------------------
   std::uint64_t graph_nodes = 0;       ///< task-graph nodes executed
   double critical_path_seconds = 0.0;  ///< duration-weighted longest chain
   double ready_depth_mean = 0.0;       ///< own-deque depth sampled at pops
@@ -98,15 +88,18 @@ struct SchedSummary {
 };
 
 struct MultiGfResult {
-  Measurements global;     ///< merged over all ranks, ascending task order
+  Measurements global;     ///< merged over all tasks, ascending task order
   double seconds = 0.0;    ///< wall time of the parallel region
-  std::uint64_t flops = 0; ///< dense-kernel flops across all ranks/threads
-  SchedSummary sched;      ///< scheduler telemetry
+  /// Dense-kernel flops across all workers and threads during the call: a
+  /// delta of the process-wide counter, which is never reset.
+  std::uint64_t flops = 0;
+  SchedSummary sched;      ///< executor telemetry
   double gflops() const { return seconds > 0 ? flops / seconds * 1e-9 : 0.0; }
 };
 
-/// Run Alg. 3: broadcast fields, scheduler-driven per-rank FSI + local
-/// measurements, deterministic merge on the root.
+/// Run Alg. 3: derive the fields and offsets from the seed, run every task
+/// through run_fsi_batch (num_ranks workers, omp_threads_per_rank team
+/// size), and merge the per-task measurements in task order.
 MultiGfResult run_parallel_fsi(const HubbardModel& model,
                                const MultiGfOptions& options);
 
@@ -136,18 +129,17 @@ struct FsiBatchOptions {
   Precision precision = precision_from_env();
 };
 
-/// Execute a batch of externally-supplied tasks through the same
-/// fine-granularity task graph as run_parallel_fsi (build -> cluster
-/// products -> BSOFI -> seed walks -> measure, one sub-graph per task and
-/// spin — a build node in front of selinv::emit_fsi_tasks — all on the
-/// persistent sched::Executor pool, so a straggler task's seed walks are
-/// stolen by idle workers).  Returns one Measurements per task, in task
-/// order; results are bit-identical to running in-process
-/// selinv::fsi_multi on the task's two matrices (BlockOps from
-/// HubbardModel::b_inverses) + the measurement accumulators, regardless of
-/// worker count or steal order (a mixed task whose either spin falls back
-/// is fp64 in both).  \p sched, when
-/// non-null, receives the run's scheduler telemetry.
+/// Execute a batch of externally-supplied tasks through the same task graph
+/// as run_parallel_fsi (build -> cluster products -> BSOFI -> seed walks ->
+/// measure, one sub-graph per task and spin — a build node in front of
+/// selinv::emit_fsi_tasks — all on the persistent sched::Executor pool, so
+/// a straggler task's seed walks are stolen by idle workers).  Returns one
+/// Measurements per task, in task order; results are bit-identical to
+/// running in-process selinv::fsi_multi on the task's two matrices
+/// (BlockOps from HubbardModel::b_inverses) + the measurement accumulators,
+/// regardless of worker count or steal order (a mixed task whose either
+/// spin falls back is fp64 in both).  \p sched, when non-null, receives the
+/// run's executor telemetry.
 std::vector<Measurements> run_fsi_batch(const HubbardModel& model,
                                         const std::vector<FsiBatchTask>& tasks,
                                         const FsiBatchOptions& options,

@@ -7,25 +7,22 @@
 ///   - run_ranks(n, body): dispatch body(0..n-1) onto n dedicated pool
 ///     workers *concurrently* (mini-MPI ranks block on barriers, so they
 ///     must all run at once, never be queued) and block until all return.
-///     This replaces the per-batch std::thread spawn/join in mpi::run — a
-///     DQMC run dispatches one batch per measurement sweep, and thread
-///     creation latency was pure overhead between sweeps.
+///     This replaces the per-batch std::thread spawn/join in mpi::run —
+///     thread creation latency was pure overhead between batches.
 ///
 ///   - run_graph(graph, workers, opts): execute a validated TaskGraph on
 ///     the calling thread (worker 0) plus up to workers-1 pool helpers.
-///     Ready nodes flow through the same owner-FIFO / steal-half TaskDeques
-///     as the batch scheduler; newly-ready successors go to the *front* of
-///     the finishing worker's deque (depth-first, bounding live per-task
-///     memory) while thieves take coarse future work from the back.
+///     Dependency-free nodes are preloaded to their owner-hint worker's
+///     TaskDeque (with stealing off, that placement is the static split);
+///     newly-ready successors go to the *front* of the finishing worker's
+///     deque (depth-first, bounding live per-task memory) while idle
+///     workers steal the back half of a victim's deque.
 ///
 /// The pool grows on demand and never blocks waiting for a busy worker, so
 /// nested dispatch (a graph run inside a rank body, a rank batch inside a
 /// test) cannot deadlock.  Idle workers sleep on a condition variable.
 /// Executor::instance() is the lazily-created, intentionally-leaked global;
 /// local instances are constructible for tests.
-///
-/// Environment (table in docs/parallelism.md): FSI_SCHED (stealing on/off,
-/// shared with BatchScheduler), FSI_EXEC_WORKERS, FSI_EXEC_BACKOFF_US.
 
 #include <atomic>
 #include <condition_variable>
@@ -37,7 +34,6 @@
 #include <thread>
 #include <vector>
 
-#include "fsi/sched/scheduler.hpp"
 #include "fsi/sched/task_graph.hpp"
 #include "fsi/sched/task_queue.hpp"
 
@@ -48,9 +44,14 @@ struct ExecOptions {
   bool work_stealing = true;  ///< false = nodes never leave their owner
   int backoff_us = 50;        ///< idle backoff between failed steal scans
   int omp_threads = 0;        ///< >0: OMP team size set on every worker
+};
 
-  /// Defaults overlaid with FSI_SCHED / FSI_EXEC_BACKOFF_US.
-  static ExecOptions from_env();
+/// Per-worker execution statistics, owner-written, read after the run.
+struct WorkerStats {
+  std::uint64_t executed = 0;       ///< nodes this worker ran
+  std::uint64_t steal_batches = 0;  ///< successful steal_half() calls
+  std::uint64_t stolen_tasks = 0;   ///< nodes acquired by stealing
+  double busy_seconds = 0.0;        ///< wall time inside node bodies
 };
 
 /// Per-stage node telemetry of one graph run.
@@ -83,9 +84,8 @@ struct GraphStats {
 /// Cooperative execution state of one TaskGraph over num_workers workers.
 /// Construct once (validates the graph, preloads dependency-free nodes to
 /// their owner-hint deques), then have each of the num_workers concurrent
-/// threads call run_worker() with its own id — mini-MPI ranks can drive one
-/// shared GraphRunner directly.  Executor::run_graph wraps this with pool
-/// helpers for the single-caller case.
+/// threads call run_worker() with its own id.  Executor::run_graph wraps
+/// this with pool helpers for the single-caller case.
 ///
 /// Exception policy: the first throwing node body cancels the run — the
 /// remaining nodes are drained without executing their bodies, so the

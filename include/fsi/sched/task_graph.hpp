@@ -2,16 +2,14 @@
 /// \file task_graph.hpp
 /// \brief Dependency-aware task graph: the unit of work the executor runs.
 ///
-/// BatchScheduler distributes *independent* whole-matrix tasks; the FSI
-/// stages inside one matrix are not independent — every BSOFI depends on
-/// its b cluster products, every wrap seed walk depends on BSOFI.  A
-/// TaskGraph expresses exactly that: nodes carry a body, a stage tag (for
-/// telemetry) and a dependency count; edges order them.  The executor
-/// (executor.hpp) preloads the dependency-free nodes into the same
-/// owner-FIFO / steal-half deques the batch scheduler uses and releases
-/// successors as their last predecessor finishes — so a straggler matrix's
-/// b² seed walks can be stolen by idle workers, which flat OpenMP loops
-/// never allowed.
+/// The FSI stages inside one matrix are not independent — every BSOFI
+/// depends on its b cluster products, every wrap seed walk depends on
+/// BSOFI.  A TaskGraph expresses exactly that: nodes carry a body, a stage
+/// tag (for telemetry) and a dependency count; edges order them.  The
+/// executor (executor.hpp) preloads the dependency-free nodes into
+/// owner-FIFO / steal-half deques and releases successors as their last
+/// predecessor finishes — so a straggler matrix's b² seed walks can be
+/// stolen by idle workers, which flat OpenMP loops never allowed.
 ///
 /// A graph is built single-threaded, validated (cycle check) once, and run
 /// once; it does not own any execution state, so the same const graph could

@@ -2,8 +2,8 @@
 /// \file task_queue.hpp
 /// \brief Per-worker task deque with steal-half semantics.
 ///
-/// Each scheduler worker owns one deque, preloaded with its static share of
-/// the batch.  The owner pops from the front (preserving the preload
+/// Each graph worker owns one deque, preloaded with its static share of
+/// the ready nodes.  The owner pops from the front (preserving the preload
 /// order); an idle thief takes the *back half* in one locked operation, so
 /// a single steal rebalances a large backlog instead of migrating tasks one
 /// by one.  A plain mutex + std::deque is deliberate: FSI tasks cost

@@ -52,8 +52,7 @@ struct FsiOptions {
   ///         bottom, 10, 11): serial outer loops, threaded kernels only.
   bool coarse_parallel = true;
   /// How the stage parallelism is executed.
-  ///   Auto     — Graph when coarse_parallel and the FSI_EXEC env flag
-  ///              (default on) allows it, else OmpLoops;
+  ///   Auto     — Graph when coarse_parallel, else OmpLoops;
   ///   Graph    — decompose into a dependency-aware task graph run on the
   ///              persistent executor pool (cluster products, BSOFI and
   ///              seed walks become stealable nodes);

@@ -131,22 +131,6 @@ void BasicLuFactorization<T>::solve(Trans trans, BasicMatrixView<T> b) const {
 }
 
 template <typename T>
-void BasicLuFactorization<T>::solve_right(BasicMatrixView<T> b) const {
-  FSI_CHECK(b.cols() == n(), "LU solve_right: RHS column count mismatch");
-  // X A = B with A = P^T L U:  W := B U^-1 L^-1 solves W L U = B, then
-  // X = W P, i.e. column swaps applied in descending order.
-  trsm(Side::Right, Uplo::Upper, Trans::No, Diag::NonUnit, T(1),
-       BasicConstMatrixView<T>(factors_), b);
-  trsm(Side::Right, Uplo::Lower, Trans::No, Diag::Unit, T(1),
-       BasicConstMatrixView<T>(factors_), b);
-  for (index_t j = n() - 1; j >= 0; --j) {
-    const index_t p = ipiv_[j];
-    if (p == j) continue;
-    for (index_t i = 0; i < b.rows(); ++i) std::swap(b(i, j), b(i, p));
-  }
-}
-
-template <typename T>
 BasicMatrix<T> BasicLuFactorization<T>::inverse() const {
   // DGETRI: A^-1 = U^-1 L^-1 P.
   BasicMatrix<T> inv = factors_;

@@ -490,21 +490,21 @@ const char* mixed_gate_verdict(const FsiGraphTask<float>& task,
 
 namespace {
 
-/// Resolve FsiOptions::Exec against the FSI_EXEC env flag.
+/// Resolve FsiOptions::Exec: Auto is the graph unless coarse_parallel is
+/// off — the paper's pure-MKL comparator, serial outer loops by definition.
 bool use_graph(const FsiOptions& opts) {
   switch (opts.exec) {
     case FsiOptions::Exec::Graph: return true;
     case FsiOptions::Exec::OmpLoops: return false;
     case FsiOptions::Exec::Auto: break;
   }
-  // coarse_parallel == false is the paper's pure-MKL comparator: serial
-  // outer loops by definition, so the graph path never applies.
-  return opts.coarse_parallel && obs::env_flag("FSI_EXEC", true);
+  return opts.coarse_parallel;
 }
 
 /// Graph workers for a standalone fsi() call: FSI_EXEC_WORKERS, or the
-/// caller's OMP team size (which a mini-MPI rank body has already had set
-/// to its per-rank allotment — nested graphs stay within their share).
+/// caller's OMP team size (which a graph worker or mini-MPI rank body has
+/// already had set to its allotment — nested graphs stay within their
+/// share).
 int graph_workers() {
   const long w = obs::env_long("FSI_EXEC_WORKERS", 0);
   return w > 0 ? static_cast<int>(w) : omp_get_max_threads();
@@ -533,7 +533,7 @@ FsiGraphTask<T> run_stages(const PCyclicMatrix& m,
     sched::TaskGraph graph;
     emit_fsi_tasks(graph, task);
     const sched::GraphStats gs = sched::Executor::instance().run_graph(
-        graph, graph_workers(), sched::ExecOptions::from_env());
+        graph, graph_workers(), sched::ExecOptions{});
     const std::uint64_t f_end = util::flops::total();
     stats.seconds_cls += gs.of(sched::Stage::Cls).busy_seconds;
     stats.seconds_bsofi += gs.of(sched::Stage::Bsofi).busy_seconds;

@@ -26,8 +26,6 @@ const char* counter_help(Counter c) {
     case Counter::MpiBytes: return "Mini-MPI point-to-point payload bytes";
     case Counter::PoolHits: return "Always 0 (workspace pool deleted)";
     case Counter::PoolMisses: return "Always 0 (workspace pool deleted)";
-    case Counter::SchedTasks: return "Batch-scheduler tasks executed";
-    case Counter::SchedSteals: return "Batch-scheduler steal-half operations";
     case Counter::ExecNodes: return "Task-graph nodes executed";
     case Counter::ExecSteals: return "Graph-executor steal-half operations";
     case Counter::ServeRequests: return "Inversion requests admitted";
@@ -54,8 +52,6 @@ const char* hist_help(Hist h) {
     case Hist::WrapDrift: return "Wrap-vs-recompute drift per stabilisation";
     case Hist::Cond1Reduced: return "1-norm condition estimate, reduced matrix";
     case Hist::SelResidual: return "Sampled selected-inverse residual";
-    case Hist::TaskSeconds: return "Per-task wall seconds, batch scheduler";
-    case Hist::QueueDepth: return "Own-deque depth at scheduler pop";
     case Hist::ReadyDepth: return "Own-deque depth at graph-executor pop";
     case Hist::NodeSeconds: return "Per-node wall seconds, graph executor";
     case Hist::ServeLatency: return "Serve request latency seconds";
@@ -71,7 +67,6 @@ const char* gauge_help(Gauge g) {
     case Gauge::WrapInterval: return "DQMC stabilisation interval in effect";
     case Gauge::FlushToZero: return "1 when FTZ/DAZ enabled on main thread";
     case Gauge::HealthSampleEvery: return "Residual spot-check period (0=off)";
-    case Gauge::SchedWorkers: return "Workers of most recent batch scheduler";
     case Gauge::ExecPoolWorkers: return "Threads in persistent executor pool";
     case Gauge::ServeQueueDepth: return "Serve admission-queue depth";
     case Gauge::ServePolicyWindowUs: return "Adaptive window of active key, us";

@@ -79,8 +79,6 @@ const char* name(Counter c) noexcept {
     case Counter::MpiBytes: return "mpi_bytes";
     case Counter::PoolHits: return "pool_hits";
     case Counter::PoolMisses: return "pool_misses";
-    case Counter::SchedTasks: return "sched_tasks";
-    case Counter::SchedSteals: return "sched_steals";
     case Counter::ExecNodes: return "exec_nodes";
     case Counter::ExecSteals: return "exec_steals";
     case Counter::ServeRequests: return "serve_requests";
@@ -190,8 +188,6 @@ const char* name(Hist h) noexcept {
     case Hist::WrapDrift: return "wrap_drift";
     case Hist::Cond1Reduced: return "cond1_reduced";
     case Hist::SelResidual: return "sel_residual";
-    case Hist::TaskSeconds: return "task_seconds";
-    case Hist::QueueDepth: return "queue_depth";
     case Hist::ReadyDepth: return "ready_depth";
     case Hist::NodeSeconds: return "node_seconds";
     case Hist::ServeLatency: return "serve_latency_s";
@@ -391,7 +387,6 @@ const char* name(Gauge g) noexcept {
     case Gauge::WrapInterval: return "wrap_interval";
     case Gauge::FlushToZero: return "flush_to_zero";
     case Gauge::HealthSampleEvery: return "health_sample_every";
-    case Gauge::SchedWorkers: return "sched_workers";
     case Gauge::ExecPoolWorkers: return "exec_pool_workers";
     case Gauge::ServeQueueDepth: return "serve_queue_depth";
     case Gauge::ServePolicyWindowUs: return "serve_policy_window_us";

@@ -9,14 +9,11 @@
 #include <memory>
 #include <type_traits>
 
-#include "fsi/mpi/minimpi.hpp"
-#include "fsi/obs/env.hpp"
 #include "fsi/obs/log.hpp"
 #include "fsi/obs/metrics.hpp"
 #include "fsi/obs/trace.hpp"
 #include "fsi/qmc/dqmc.hpp"
 #include "fsi/sched/executor.hpp"
-#include "fsi/sched/scheduler.hpp"
 #include "fsi/selinv/fsi.hpp"
 #include "fsi/util/flops.hpp"
 #include "fsi/util/timer.hpp"
@@ -24,9 +21,6 @@
 namespace fsi::qmc {
 
 namespace {
-
-/// Tag for the (task index, measurement payload) records sent to the root.
-constexpr int kTagTaskResults = 7;
 
 /// The patterns one task wraps: all diagonals for the equal-time
 /// measurements, plus block rows and columns for SPXX when it is heavy.
@@ -49,60 +43,6 @@ void measure_task(const HubbardModel& model,
     accumulate_spxx(model.lattice(), up[1], up[2], dn[1], dn[2], 1.0, false,
                     meas);
 }
-
-bool use_fine_granularity(const MultiGfOptions& options) {
-  switch (options.granularity) {
-    case Granularity::Fine: return true;
-    case Granularity::Coarse: return false;
-    case Granularity::Auto: break;
-  }
-  return obs::env_flag("FSI_EXEC", true);
-}
-
-/// Fine-granularity path: generate the batch's fields and offsets from the
-/// run seed — the same (seed)-keyed streams the coarse path broadcasts —
-/// then lower everything onto the shared run_fsi_batch graph engine and
-/// merge the per-task measurements in ascending task order.  Outputs are
-/// disjoint per node and the merge is task-ordered, so the result is
-/// bit-identical to the coarse path.
-void run_fine_granularity(const HubbardModel& model,
-                          const MultiGfOptions& options, index_t c,
-                          index_t heavy_cutoff, MultiGfResult& result) {
-  const index_t l = model.params().l;
-  const index_t n = model.num_sites();
-  const index_t m_total = options.num_matrices;
-  const index_t dmax = model.lattice().num_distance_classes();
-
-  // The caller stands in for the root rank: all fields come from one
-  // sequential stream, each task's q from (seed, task index) alone.
-  std::vector<FsiBatchTask> tasks;
-  tasks.reserve(static_cast<std::size_t>(m_total));
-  util::Rng root_rng(options.seed);
-  for (index_t t = 0; t < m_total; ++t)
-    tasks.push_back(FsiBatchTask{HsField(l, n, root_rng), 0, false});
-  for (index_t t = 0; t < m_total; ++t) {
-    util::Rng task_rng(options.seed, static_cast<std::uint64_t>(t) + 1);
-    tasks[static_cast<std::size_t>(t)].q =
-        static_cast<index_t>(task_rng.below(static_cast<std::uint64_t>(c)));
-    tasks[static_cast<std::size_t>(t)].heavy = t < heavy_cutoff;
-  }
-
-  FsiBatchOptions batch_opts;
-  batch_opts.num_workers = options.num_ranks;
-  batch_opts.omp_threads_per_worker = options.omp_threads_per_rank;
-  batch_opts.cluster_size = c;
-  batch_opts.schedule = options.schedule;
-  const std::vector<Measurements> per_task =
-      run_fsi_batch(model, tasks, batch_opts, &result.sched);
-
-  Measurements global(l, dmax);
-  for (const Measurements& m : per_task) global.merge(m);
-  result.global = global;
-}
-
-}  // namespace
-
-namespace {
 
 /// run_fsi_batch at stage scalar T: per task and spin, a Build node (M, and
 /// the BlockOps at T from the model's closed-form B^-1) in front of the FSI
@@ -131,10 +71,10 @@ std::vector<Measurements> run_batch(const HubbardModel& model,
   if (workers < 1) workers = 1;
   const index_t dmax = model.lattice().num_distance_classes();
 
-  // Static owner of each task: the BatchScheduler contiguous preload split,
-  // so with stealing disabled the placement is exactly the static baseline;
-  // with stealing on, idle workers pick up a straggler task's remaining
-  // seed walks, which whole-matrix scheduling could never migrate.
+  // Static owner of each task: the contiguous split [w*m/W, (w+1)*m/W), so
+  // with stealing disabled the placement is exactly Alg. 3's static
+  // baseline; with stealing on, idle workers pick up a straggler task's
+  // remaining seed walks, which whole-matrix scheduling could never migrate.
   std::vector<int> owner(static_cast<std::size_t>(m_total), 0);
   for (int w = 0; w < workers; ++w) {
     const auto lo = static_cast<index_t>(
@@ -270,8 +210,8 @@ std::vector<Measurements> run_batch(const HubbardModel& model,
       for (sched::NodeId id : fences) graph.add_edge(id, measure);
   }
 
-  sched::ExecOptions exec_opts = sched::ExecOptions::from_env();
-  if (options.schedule == Schedule::Static) exec_opts.work_stealing = false;
+  sched::ExecOptions exec_opts;
+  exec_opts.work_stealing = options.schedule == Schedule::WorkStealing;
   exec_opts.omp_threads = options.omp_threads_per_worker;
   const sched::GraphStats gs =
       sched::Executor::instance().run_graph(graph, workers, exec_opts);
@@ -316,20 +256,15 @@ MultiGfResult run_parallel_fsi(const HubbardModel& model,
   const index_t l = model.params().l;
   const index_t n = model.num_sites();
   const index_t m_total = options.num_matrices;
-  const int ranks = options.num_ranks;
-  FSI_CHECK(ranks > 0, "run_parallel_fsi: need at least one rank");
+  FSI_CHECK(options.num_ranks > 0, "run_parallel_fsi: need at least one rank");
   FSI_CHECK(m_total > 0, "run_parallel_fsi: need at least one matrix");
   const index_t c = (options.cluster_size > 0) ? options.cluster_size
                                                : default_cluster_size(l);
   FSI_CHECK(l % c == 0, "run_parallel_fsi: cluster size must divide L");
-  const std::size_t field_len = static_cast<std::size_t>(l) * n;
-  const index_t dmax = model.lattice().num_distance_classes();
-  const std::size_t payload_len = Measurements::serialized_size(l, dmax);
-  const std::size_t record_len = 1 + payload_len;  // [task index, payload]
 
   // Tasks [0, heavy_cutoff) run the full three-pattern wrap + SPXX; the rest
-  // measure equal-time only.  With the contiguous static preload the heavy
-  // front chunk lands on the low ranks — the skew the scheduler rebalances.
+  // measure equal-time only.  With the contiguous static split the heavy
+  // front chunk lands on the low workers — the skew stealing rebalances.
   const double frac = std::clamp(options.heavy_fraction, 0.0, 1.0);
   const index_t heavy_cutoff =
       options.measure_time_dependent
@@ -337,129 +272,33 @@ MultiGfResult run_parallel_fsi(const HubbardModel& model,
                 std::ceil(frac * static_cast<double>(m_total)))
           : 0;
 
-  MultiGfResult result{Measurements(l, dmax), 0.0, 0, SchedSummary{}};
-  util::flops::reset();
-  util::WallTimer timer;
-
-  if (use_fine_granularity(options)) {
-    run_fine_granularity(model, options, c, heavy_cutoff, result);
-    result.seconds = timer.seconds();
-    result.flops = util::flops::total();
-    return result;
+  // The caller stands in for the root rank: all fields come from one
+  // sequential stream, each task's q from (seed, task index) alone.
+  std::vector<FsiBatchTask> tasks;
+  tasks.reserve(static_cast<std::size_t>(m_total));
+  util::Rng root_rng(options.seed);
+  for (index_t t = 0; t < m_total; ++t) {
+    util::Rng task_rng(options.seed, static_cast<std::uint64_t>(t) + 1);
+    const auto q =
+        static_cast<index_t>(task_rng.below(static_cast<std::uint64_t>(c)));
+    tasks.push_back(FsiBatchTask{HsField(l, n, root_rng), q, t < heavy_cutoff});
   }
 
-  sched::SchedulerOptions sched_opts = sched::SchedulerOptions::from_env();
-  if (options.schedule == Schedule::Static) sched_opts.work_stealing = false;
-  sched::BatchScheduler scheduler(ranks, static_cast<std::uint32_t>(m_total),
-                                  sched_opts);
+  FsiBatchOptions batch_opts;
+  batch_opts.num_workers = options.num_ranks;
+  batch_opts.omp_threads_per_worker = options.omp_threads_per_rank;
+  batch_opts.cluster_size = c;
+  batch_opts.schedule = options.schedule;
 
-  mpi::run(
-      ranks,
-      [&](mpi::Communicator& comm) {
-        // --- On MPI_root: generate all HS fields, broadcast them (Alg. 3
-        // scatters the static shares; with task migration every rank may
-        // need any field, so the field table is broadcast instead — the
-        // same "parameters travel, matrices don't" trade as the paper's).
-        std::vector<double> all_fields;
-        if (comm.rank() == 0) {
-          util::Rng root_rng(options.seed);
-          all_fields.reserve(static_cast<std::size_t>(m_total) * field_len);
-          for (index_t i = 0; i < m_total; ++i) {
-            HsField f(l, n, root_rng);
-            const auto buf = f.serialize();
-            all_fields.insert(all_fields.end(), buf.begin(), buf.end());
-          }
-        }
-        comm.bcast(all_fields, 0);
-
-        // --- On each MPI_process: scheduler-driven FSI + local
-        // measurements.  Everything inside the task body depends only on
-        // (seed, task index), so the batch result is invariant under rank
-        // count, thread count and steal order.
-        std::vector<double> done;  // [task, payload] records, fixed stride
-        scheduler.run_worker(comm.rank(), [&](std::uint32_t task) {
-          const HsField field = HsField::deserialize(
-              l, n,
-              all_fields.data() + static_cast<std::size_t>(task) * field_len,
-              field_len);
-          util::Rng task_rng(options.seed,
-                             static_cast<std::uint64_t>(task) + 1);
-          const index_t q =
-              static_cast<index_t>(task_rng.below(static_cast<std::uint64_t>(c)));
-          const bool heavy = static_cast<index_t>(task) < heavy_cutoff;
-
-          // Per spin: build M, then the loop-shaped fp64 FSI pipeline.
-          selinv::FsiOptions fsi_opts;
-          fsi_opts.c = c;
-          fsi_opts.q = q;
-          fsi_opts.exec = selinv::FsiOptions::Exec::OmpLoops;
-          fsi_opts.precision = Precision::Fp64;
-          auto compute = [&](Spin spin) {
-            const pcyclic::PCyclicMatrix mat = model.build_m(field, spin);
-            const pcyclic::BlockOps ops(mat, model.b_inverses(field, spin));
-            return selinv::fsi_multi(mat, ops, task_patterns(heavy), fsi_opts,
-                                     task_rng);
-          };
-          std::vector<pcyclic::SelectedInversion> up = compute(Spin::Up);
-          std::vector<pcyclic::SelectedInversion> dn = compute(Spin::Down);
-
-          // This task's measurement quantities.  Serial accumulation into a
-          // per-task buffer keeps the floating-point summation order fixed.
-          Measurements task_meas(l, dmax);
-          measure_task(model, up, dn, heavy, task_meas);
-
-          done.push_back(static_cast<double>(task));
-          const std::vector<double> payload = task_meas.serialize();
-          done.insert(done.end(), payload.begin(), payload.end());
-        });
-
-        // --- Merge on the root in ascending task order (a deterministic
-        // replacement for Alg. 3's MPI_Reduce: the records carry their task
-        // index, so the summation order never depends on placement).
-        if (comm.rank() == 0) {
-          std::vector<std::vector<double>> payloads(
-              static_cast<std::size_t>(m_total));
-          std::vector<bool> seen(static_cast<std::size_t>(m_total), false);
-          auto ingest = [&](const std::vector<double>& records) {
-            FSI_CHECK(records.size() % record_len == 0,
-                      "run_parallel_fsi: malformed task-result records");
-            for (std::size_t off = 0; off < records.size();
-                 off += record_len) {
-              const auto task = static_cast<std::size_t>(records[off]);
-              FSI_CHECK(task < static_cast<std::size_t>(m_total) &&
-                            !seen[task],
-                        "run_parallel_fsi: duplicate or out-of-range task");
-              seen[task] = true;
-              payloads[task].assign(records.begin() + off + 1,
-                                    records.begin() + off + record_len);
-            }
-          };
-          ingest(done);
-          for (int r = 1; r < comm.size(); ++r)
-            ingest(comm.recv(r, kTagTaskResults));
-          Measurements global(l, dmax);
-          for (index_t t = 0; t < m_total; ++t) {
-            FSI_CHECK(seen[static_cast<std::size_t>(t)],
-                      "run_parallel_fsi: task result missing");
-            global.merge(Measurements::deserialize(
-                l, dmax, payloads[static_cast<std::size_t>(t)]));
-          }
-          result.global = global;
-        } else {
-          comm.send(0, kTagTaskResults, std::move(done));
-        }
-      },
-      options.omp_threads_per_rank);
-
+  MultiGfResult result{Measurements(l, model.lattice().num_distance_classes()),
+                       0.0, 0, SchedSummary{}};
+  const util::flops::Scope flops;
+  util::WallTimer timer;
+  const std::vector<Measurements> per_task =
+      run_fsi_batch(model, tasks, batch_opts, &result.sched);
   result.seconds = timer.seconds();
-  result.flops = util::flops::total();
-  result.sched.workers = scheduler.workers();
-  result.sched.tasks = scheduler.tasks();
-  result.sched.steal_batches = scheduler.total_steal_batches();
-  result.sched.stolen_tasks = scheduler.total_stolen_tasks();
-  result.sched.busy_max_seconds = scheduler.busy_max_seconds();
-  result.sched.busy_mean_seconds = scheduler.busy_mean_seconds();
-  result.sched.busy_seconds = scheduler.busy_seconds();
+  result.flops = flops.elapsed();
+  for (const Measurements& m : per_task) result.global.merge(m);
   return result;
 }
 

@@ -5,22 +5,11 @@
 #include <algorithm>
 #include <chrono>
 
-#include "fsi/obs/env.hpp"
 #include "fsi/obs/metrics.hpp"
 #include "fsi/util/check.hpp"
 #include "fsi/util/timer.hpp"
 
 namespace fsi::sched {
-
-ExecOptions ExecOptions::from_env() {
-  ExecOptions o;
-  // FSI_SCHED governs stealing for both the batch scheduler and the graph
-  // executor — one switch freezes every static baseline at once.
-  o.work_stealing = obs::env_flag("FSI_SCHED", true);
-  o.backoff_us = static_cast<int>(
-      std::max(0L, obs::env_long("FSI_EXEC_BACKOFF_US", 50)));
-  return o;
-}
 
 // ---------------------------------------------------------------------------
 // GraphRunner
@@ -42,9 +31,8 @@ GraphRunner::GraphRunner(const TaskGraph& graph, int num_workers,
     per_worker_.push_back(std::make_unique<PerWorker>());
   }
   // Dependency-free nodes go to their owner-hint deque in emission order:
-  // the graph-level analogue of the batch scheduler's contiguous static
-  // preload.  Everything else enters a deque only when its last dependency
-  // retires.
+  // with owner hints from a contiguous split this is the static preload.
+  // Everything else enters a deque only when its last dependency retires.
   for (std::size_t i = 0; i < graph.nodes_.size(); ++i) {
     if (graph.nodes_[i].num_deps != 0) continue;
     const int hint = graph.nodes_[i].owner_hint;

@@ -48,20 +48,6 @@ TEST_P(LuSizes, TransposedSolve) {
   expect_close(atx, b, 1e-10, "A^T x = b");
 }
 
-TEST_P(LuSizes, RightSolve) {
-  const index_t n = GetParam();
-  util::Rng rng(5, static_cast<std::uint64_t>(n));
-  Matrix a = random_matrix(n, n, rng);
-  LuFactorization lu = LuFactorization::of(a);
-
-  Matrix b = random_matrix(5, n, rng);
-  Matrix x = b;
-  lu.solve_right(x);
-  Matrix xa(5, n);
-  gemm(Trans::No, Trans::No, 1.0, x, a, 0.0, xa);
-  expect_close(xa, b, 1e-10, "x A = b");
-}
-
 TEST_P(LuSizes, InverseTimesMatrixIsIdentity) {
   const index_t n = GetParam();
   util::Rng rng(6, static_cast<std::uint64_t>(n));
@@ -191,14 +177,6 @@ TYPED_TEST(TypedLu, SolvesAllThreeModes) {
   gemm(Trans::Yes, Trans::No, T(1), a, x, T(0), ax);
   fsi::testing::expect_close(ax, b, fsi::testing::Tol<T>::tight,
                              "typed A^Tx=b");
-
-  BasicMatrix<T> br = fsi::testing::random_matrix_t<T>(5, n, rng);
-  BasicMatrix<T> xr = br;
-  lu.solve_right(xr);
-  BasicMatrix<T> xa(5, n);
-  gemm(Trans::No, Trans::No, T(1), xr, a, T(0), xa);
-  fsi::testing::expect_close(xa, br, fsi::testing::Tol<T>::tight,
-                             "typed xA=b");
 }
 
 TYPED_TEST(TypedLu, InverseRoundTripsAndSingularThrows) {

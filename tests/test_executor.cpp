@@ -19,9 +19,9 @@ namespace {
 using namespace fsi;
 
 sched::ExecOptions quiet_options(bool stealing = true) {
-  sched::ExecOptions o;          // explicit, not from_env(): tests must not
-  o.work_stealing = stealing;    // depend on the ambient FSI_SCHED value
-  o.backoff_us = 0;
+  sched::ExecOptions o;
+  o.work_stealing = stealing;
+  o.backoff_us = 0;  // idle workers yield instead of sleeping
   return o;
 }
 

@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "fsi/dense/norms.hpp"
-#include "fsi/obs/env.hpp"
 #include "fsi/obs/metrics.hpp"
 #include "fsi/pcyclic/explicit_inverse.hpp"
 #include "fsi/selinv/fsi.hpp"
@@ -140,10 +139,8 @@ TEST(FsiMulti, MixedGraphExecutorBitIdenticalToOmpLoops) {
   selinv::FsiStats stats_graph;
   const auto got =
       selinv::fsi_multi(m, ops, patterns, defaults, rng_graph, &stats_graph);
-  if (obs::env_flag("FSI_EXEC", true)) {
-    EXPECT_GT(obs::metrics::total(obs::metrics::Counter::ExecNodes),
-              nodes_before);
-  }
+  EXPECT_GT(obs::metrics::total(obs::metrics::Counter::ExecNodes),
+            nodes_before);
   selinv::set_mixed_gate(saved);
 
   EXPECT_EQ(stats_loops.precision_used, Precision::Mixed);

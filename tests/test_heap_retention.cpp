@@ -48,7 +48,7 @@ enum class Entry {
   FsiMultiOmpLoops,
   BatchFp64,
   BatchMixed,
-  ParallelFsiCoarse,
+  ParallelFsi,
   Dqmc,
 };
 
@@ -58,7 +58,7 @@ const char* entry_name(Entry e) {
     case Entry::FsiMultiOmpLoops: return "FsiMultiOmpLoops";
     case Entry::BatchFp64: return "BatchFp64";
     case Entry::BatchMixed: return "BatchMixed";
-    case Entry::ParallelFsiCoarse: return "ParallelFsiCoarse";
+    case Entry::ParallelFsi: return "ParallelFsi";
     case Entry::Dqmc: return "Dqmc";
   }
   return "?";
@@ -117,13 +117,12 @@ void call(Entry entry, const qmc::HubbardModel& model) {
     case Entry::BatchMixed:
       batch_call(model, Precision::Mixed);
       return;
-    case Entry::ParallelFsiCoarse: {
+    case Entry::ParallelFsi: {
       qmc::MultiGfOptions opts;
       opts.num_matrices = 3;
-      opts.num_ranks = 3;
+      opts.num_ranks = kWorkers;
       opts.omp_threads_per_rank = 1;
       opts.cluster_size = kC;
-      opts.granularity = qmc::Granularity::Coarse;
       (void)qmc::run_parallel_fsi(model, opts);
       return;
     }
@@ -181,7 +180,7 @@ INSTANTIATE_TEST_SUITE_P(
     EntryPoints, HeapRetention,
     ::testing::Values(Entry::FsiMultiGraph, Entry::FsiMultiOmpLoops,
                       Entry::BatchFp64, Entry::BatchMixed,
-                      Entry::ParallelFsiCoarse, Entry::Dqmc),
+                      Entry::ParallelFsi, Entry::Dqmc),
     [](const ::testing::TestParamInfo<Entry>& info) {
       return std::string(entry_name(info.param));
     });

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "fsi/qmc/dqmc.hpp"
 #include "fsi/qmc/multi_gf.hpp"
+#include "fsi/util/flops.hpp"
 
 namespace {
 
@@ -161,6 +163,27 @@ TEST(MultiGf, RankCountDoesNotChangeTheResult) {
               parallel.global.double_occupancy(), 1e-8);
   EXPECT_GT(parallel.flops, 0u);
   EXPECT_GT(parallel.gflops(), 0.0);
+}
+
+TEST(MultiGf, FlopsAreADeltaOfTheProcessCounter) {
+  // Work counted before the call must survive it: the process-wide counter
+  // never decreases, and result.flops is its delta over the call.
+  HubbardParams p;
+  p.l = 6;
+  p.u = 2.0;
+  HubbardModel model(Lattice::chain(3), p);
+  MultiGfOptions opt;
+  opt.num_matrices = 4;
+  opt.num_ranks = 2;
+  opt.cluster_size = 2;
+
+  util::flops::add(std::uint64_t{1} << 40);  // earlier, unrelated work
+  const std::uint64_t before = util::flops::total();
+  const MultiGfResult r = run_parallel_fsi(model, opt);
+  const std::uint64_t after = util::flops::total();
+  ASSERT_GE(after, before);
+  EXPECT_GT(r.flops, 0u);
+  EXPECT_EQ(r.flops, after - before);
 }
 
 TEST(MultiGf, IndivisibleWorkSucceeds) {

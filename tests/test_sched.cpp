@@ -1,20 +1,20 @@
-// Tests of the fsi::sched work-stealing batch scheduler and of the
-// determinism guarantees of the scheduler-driven run_parallel_fsi.
+// Tests of the fsi::sched task deque and of the determinism guarantees of
+// run_parallel_fsi on the graph executor.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <thread>
+#include <cmath>
 #include <vector>
 
+#include "fsi/qmc/measurements.hpp"
 #include "fsi/qmc/multi_gf.hpp"
-#include "fsi/sched/scheduler.hpp"
 #include "fsi/sched/task_queue.hpp"
+#include "fsi/selinv/fsi.hpp"
 
 namespace {
 
 using namespace fsi;
+using dense::index_t;
 
 // ---------------------------------------------------------------------------
 // TaskDeque
@@ -48,90 +48,6 @@ TEST(TaskDeque, StealHalfTakesBackHalfInOrder) {
   ASSERT_TRUE(q.pop(task));
   EXPECT_EQ(q.steal_half(loot), 0u);
   EXPECT_TRUE(loot.empty());
-}
-
-// ---------------------------------------------------------------------------
-// BatchScheduler
-
-void run_all_workers(sched::BatchScheduler& s,
-                     const std::function<void(int, std::uint32_t)>& body) {
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(s.workers()));
-  for (int w = 0; w < s.workers(); ++w)
-    threads.emplace_back(
-        [&s, &body, w] { s.run_worker(w, [&](std::uint32_t t) { body(w, t); }); });
-  for (auto& t : threads) t.join();
-}
-
-TEST(BatchScheduler, EveryTaskRunsExactlyOnce) {
-  constexpr std::uint32_t kTasks = 64;
-  sched::SchedulerOptions opts;
-  opts.backoff_us = 0;
-  sched::BatchScheduler s(4, kTasks, opts);
-  std::vector<std::atomic<int>> ran(kTasks);
-  run_all_workers(s, [&](int, std::uint32_t t) {
-    ran[t].fetch_add(1, std::memory_order_relaxed);
-  });
-  std::uint64_t executed = 0;
-  for (int w = 0; w < s.workers(); ++w) executed += s.stats(w).executed;
-  EXPECT_EQ(executed, kTasks);
-  for (std::uint32_t t = 0; t < kTasks; ++t) EXPECT_EQ(ran[t].load(), 1);
-}
-
-TEST(BatchScheduler, SkewedBatchTriggersStealing) {
-  // All the slow tasks sit in worker 0's preload; the other workers finish
-  // their shares instantly and must steal to keep the batch moving.
-  constexpr std::uint32_t kTasks = 16;
-  sched::SchedulerOptions opts;
-  opts.backoff_us = 10;
-  sched::BatchScheduler s(4, kTasks, opts);
-  run_all_workers(s, [&](int, std::uint32_t t) {
-    if (t < kTasks / 4)  // worker 0's contiguous preload
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  });
-  EXPECT_GT(s.total_steal_batches(), 0u);
-  EXPECT_GT(s.total_stolen_tasks(), 0u);
-}
-
-TEST(BatchScheduler, StaticModeNeverSteals) {
-  constexpr std::uint32_t kTasks = 16;
-  sched::SchedulerOptions opts;
-  opts.work_stealing = false;
-  opts.backoff_us = 10;
-  sched::BatchScheduler s(4, kTasks, opts);
-  std::vector<std::atomic<int>> owner(kTasks);
-  run_all_workers(s, [&](int w, std::uint32_t t) {
-    owner[t].store(w, std::memory_order_relaxed);
-    if (t < kTasks / 4) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  });
-  EXPECT_EQ(s.total_steal_batches(), 0u);
-  EXPECT_EQ(s.total_stolen_tasks(), 0u);
-  // Exactly the static contiguous split: task t belongs to worker t*W/T.
-  for (std::uint32_t t = 0; t < kTasks; ++t)
-    EXPECT_EQ(owner[t].load(), static_cast<int>(t / (kTasks / 4)));
-  for (int w = 0; w < 4; ++w) EXPECT_EQ(s.stats(w).executed, kTasks / 4);
-}
-
-TEST(BatchScheduler, UnevenTaskCountCoversAllTasks) {
-  sched::SchedulerOptions opts;
-  opts.backoff_us = 0;
-  sched::BatchScheduler s(3, 7, opts);  // 7 tasks, 3 workers
-  std::vector<std::atomic<int>> ran(7);
-  run_all_workers(s, [&](int, std::uint32_t t) {
-    ran[t].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (std::uint32_t t = 0; t < 7; ++t) EXPECT_EQ(ran[t].load(), 1);
-}
-
-TEST(BatchScheduler, MoreWorkersThanTasks) {
-  sched::SchedulerOptions opts;
-  opts.backoff_us = 0;
-  sched::BatchScheduler s(6, 2, opts);
-  std::atomic<int> ran{0};
-  run_all_workers(s, [&](int, std::uint32_t) {
-    ran.fetch_add(1, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(ran.load(), 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -181,43 +97,83 @@ TEST(MultiGfSched, BitIdenticalAcrossRanksThreadsAndSchedules) {
   }
 }
 
+/// Alg. 3 one matrix at a time on the calling thread, from the public API
+/// alone: the fields and offsets run_parallel_fsi derives from its seed
+/// (fields from one root stream, q from (seed, task index + 1)), fsi_multi
+/// per spin in loop shape on the model's closed-form B^-1 — no graph
+/// executor at any level — then the measurement accumulators, merged in
+/// ascending task order.
+qmc::Measurements serial_reference(const qmc::HubbardModel& model,
+                                   const qmc::MultiGfOptions& opt) {
+  const index_t l = model.params().l;
+  const index_t c = opt.cluster_size;
+  const auto heavy_cutoff = static_cast<index_t>(
+      std::ceil(opt.heavy_fraction * static_cast<double>(opt.num_matrices)));
+  util::Rng root_rng(opt.seed);
+  qmc::Measurements global(l, model.lattice().num_distance_classes());
+  for (index_t t = 0; t < opt.num_matrices; ++t) {
+    const qmc::HsField field(l, model.num_sites(), root_rng);
+    util::Rng task_rng(opt.seed, static_cast<std::uint64_t>(t) + 1);
+    selinv::FsiOptions fsi_opts;
+    fsi_opts.c = c;
+    fsi_opts.q =
+        static_cast<index_t>(task_rng.below(static_cast<std::uint64_t>(c)));
+    fsi_opts.exec = selinv::FsiOptions::Exec::OmpLoops;
+    fsi_opts.precision = Precision::Fp64;
+    const bool heavy = t < heavy_cutoff;
+    std::vector<pcyclic::Pattern> patterns{pcyclic::Pattern::AllDiagonals};
+    if (heavy) {
+      patterns.push_back(pcyclic::Pattern::Rows);
+      patterns.push_back(pcyclic::Pattern::Columns);
+    }
+    auto compute = [&](qmc::Spin spin) {
+      const pcyclic::PCyclicMatrix m = model.build_m(field, spin);
+      const pcyclic::BlockOps ops(m, model.b_inverses(field, spin));
+      return selinv::fsi_multi(m, ops, patterns, fsi_opts, task_rng);
+    };
+    const auto up = compute(qmc::Spin::Up);
+    const auto dn = compute(qmc::Spin::Down);
+    qmc::Measurements meas(l, model.lattice().num_distance_classes());
+    meas.add_sample(1.0);
+    qmc::accumulate_equal_time(model.lattice(), up[0], dn[0], model.params().t,
+                               1.0, false, meas);
+    if (heavy)
+      qmc::accumulate_spxx(model.lattice(), up[1], up[2], dn[1], dn[2], 1.0,
+                           false, meas);
+    global.merge(meas);
+  }
+  return global;
+}
+
 TEST(MultiGfSched, FineGranularityBitIdenticalToCoarseAcrossRanks) {
+  // The graph's stage nodes against the per-matrix serial computation.
   fsi::qmc::HubbardParams p;
   p.l = 6;
   p.u = 3.0;
   const qmc::HubbardModel model(qmc::Lattice::chain(3), p);
 
-  // Coarse single-rank run is the reference: plain Alg. 3 with no graph
-  // executor involved at any level.
-  auto ref_opt = batch_options(1, 1, qmc::Schedule::WorkStealing);
-  ref_opt.granularity = qmc::Granularity::Coarse;
-  const auto baseline = run_parallel_fsi(model, ref_opt);
-  const std::vector<double> expect = baseline.global.serialize();
-  ASSERT_FALSE(expect.empty());
-
   const struct {
-    int ranks;
+    int workers;
     qmc::Schedule schedule;
-    qmc::Granularity granularity;
+    double heavy_fraction;
   } configs[] = {
-      {1, qmc::Schedule::WorkStealing, qmc::Granularity::Fine},
-      {2, qmc::Schedule::WorkStealing, qmc::Granularity::Fine},
-      {4, qmc::Schedule::WorkStealing, qmc::Granularity::Fine},
-      {2, qmc::Schedule::Static, qmc::Granularity::Fine},
-      {4, qmc::Schedule::Static, qmc::Granularity::Fine},
-      {2, qmc::Schedule::WorkStealing, qmc::Granularity::Coarse},
+      {1, qmc::Schedule::WorkStealing, 1.0},
+      {2, qmc::Schedule::WorkStealing, 1.0},
+      {4, qmc::Schedule::WorkStealing, 1.0},
+      {1, qmc::Schedule::Static, 1.0},
+      {2, qmc::Schedule::Static, 1.0},
+      {4, qmc::Schedule::Static, 1.0},
+      {4, qmc::Schedule::WorkStealing, 0.4},
   };
   for (const auto& cfg : configs) {
-    auto opt = batch_options(cfg.ranks, 1, cfg.schedule);
-    opt.granularity = cfg.granularity;
-    const auto r = run_parallel_fsi(model, opt);
-    const std::vector<double> got = r.global.serialize();
-    ASSERT_EQ(got.size(), expect.size());
-    for (std::size_t i = 0; i < expect.size(); ++i)
-      EXPECT_EQ(got[i], expect[i])
-          << "ranks=" << cfg.ranks << " fine="
-          << (cfg.granularity == qmc::Granularity::Fine) << " steal="
-          << (cfg.schedule == qmc::Schedule::WorkStealing) << " i=" << i;
+    auto opt = batch_options(cfg.workers, 1, cfg.schedule);
+    opt.heavy_fraction = cfg.heavy_fraction;
+    const std::vector<double> expect = serial_reference(model, opt).serialize();
+    ASSERT_FALSE(expect.empty());
+    EXPECT_EQ(run_parallel_fsi(model, opt).global.serialize(), expect)
+        << "workers=" << cfg.workers
+        << " steal=" << (cfg.schedule == qmc::Schedule::WorkStealing)
+        << " heavy_fraction=" << cfg.heavy_fraction;
   }
 }
 
@@ -226,10 +182,8 @@ TEST(MultiGfSched, FineGranularityReportsGraphTelemetry) {
   p.l = 6;
   p.u = 2.0;
   const qmc::HubbardModel model(qmc::Lattice::chain(3), p);
-  auto opt = batch_options(2, 1, qmc::Schedule::WorkStealing);
-  opt.granularity = qmc::Granularity::Fine;
-
-  const auto r = run_parallel_fsi(model, opt);
+  const auto r =
+      run_parallel_fsi(model, batch_options(2, 1, qmc::Schedule::WorkStealing));
   EXPECT_DOUBLE_EQ(r.global.samples(), 5.0);
   EXPECT_EQ(r.sched.tasks, 5u);
   EXPECT_EQ(r.sched.workers, 2);
@@ -244,14 +198,6 @@ TEST(MultiGfSched, FineGranularityReportsGraphTelemetry) {
   EXPECT_GT(r.sched.stage_measure_seconds, 0.0);
   EXPECT_EQ(r.sched.busy_seconds.size(), 2u);
   EXPECT_GT(r.sched.busy_max_seconds, 0.0);
-
-  // Coarse mode keeps the graph fields at zero but still exports the
-  // per-rank busy vector.
-  opt.granularity = qmc::Granularity::Coarse;
-  const auto coarse = run_parallel_fsi(model, opt);
-  EXPECT_EQ(coarse.sched.graph_nodes, 0u);
-  EXPECT_DOUBLE_EQ(coarse.sched.critical_path_seconds, 0.0);
-  EXPECT_EQ(coarse.sched.busy_seconds.size(), 2u);
 }
 
 TEST(MultiGfSched, SkewedBatchReportsBalanceTelemetry) {
