@@ -10,14 +10,14 @@
 ///
 /// SUBSTITUTION: the 100-node run cannot execute on one machine, so this
 /// bench (a) REPRODUCES the memory-feasibility boundary with the Edison
-/// node model (which configs OOM, analytically, matching the paper's
-/// 2.65 GB/rank arithmetic), (b) projects the aggregate Tflops for each
-/// feasible configuration from a *measured* single-core FSI rate and the
-/// scaling model, and (c) actually RUNS Alg. 3 at a reduced size through
+/// node model of perfmodel.hpp (which configs OOM, analytically, matching
+/// the paper's 2.65 GB/rank arithmetic), (b) projects the aggregate Tflops
+/// for each feasible configuration from a *measured* single-core FSI rate
+/// (FSI and the DGEMM curve both at one OpenMP thread) and the scaling
+/// model, and (c) actually RUNS Alg. 3 at a reduced size through
 /// run_parallel_fsi: fields derived on the caller, every task's FSI stages
 /// as stealable nodes on --demo-ranks graph workers, a task-ordered merge.
-/// (d) and (e) measure the static-vs-stealing balance on a skewed batch and
-/// the per-batch dispatch cost of mini-MPI rank teams.
+/// (d) measures the static-vs-stealing balance on a skewed batch.
 ///
 ///   ./bench_fig9_hybrid [--N 96] [--L 40] [--c 5] [--demo-ranks 4]
 
@@ -26,12 +26,8 @@
 #include "fsi/util/fpenv.hpp"
 
 #include <map>
-#include <thread>
 
-#include "fsi/mpi/edison_model.hpp"
-#include "fsi/mpi/minimpi.hpp"
 #include "fsi/qmc/multi_gf.hpp"
-#include "fsi/sched/executor.hpp"
 
 int main(int argc, char** argv) {
   fsi::util::enable_flush_to_zero();
@@ -55,25 +51,33 @@ int main(int argc, char** argv) {
   const Config configs[] = {{200, 12}, {400, 6}, {800, 3}, {1200, 2}, {2400, 1}};
 
   // Measured single-core rate on a moderate instance, used as the per-core
-  // building block of the projection.
+  // building block of the projection.  Both it and the DGEMM curve below
+  // run at one OpenMP thread; (c)/(d) run at the process default again.
   const index_t n_meas = cli.get_int("N", 96);
   const index_t l_meas = cli.get_int("L", 40);
   const index_t c_meas = cli.get_int("c", 5);
-  pcyclic::PCyclicMatrix m = make_hubbard(n_meas, l_meas);
-  StageProfile prof = profile_fsi(m, c_meas, pcyclic::Pattern::Columns, 2);
-  const double core_rate =
-      static_cast<double>(prof.total_flops()) / prof.total_seconds();
-  // FSI runs at a fixed fraction of the DGEMM rate (Fig. 8 top); project the
-  // per-core rate to the paper's block sizes via the measured DGEMM curve.
-  const double fsi_efficiency = core_rate / (dgemm_gflops(n_meas) * 1e9);
-  std::printf("measured single-core FSI rate (N=%d, L=%d, c=%d): %.1f Gflops "
-              "(%.0f%% of DGEMM)\n\n",
-              n_meas, l_meas, c_meas, core_rate * 1e-9, 100 * fsi_efficiency);
-
-  const mpi::EdisonNode node;
+  StageProfile prof;
+  double fsi_efficiency = 0.0;
   std::map<index_t, double> rate_at_n;
-  for (index_t n : {400, 576, 784, 1024})
-    rate_at_n[n] = dgemm_gflops(n, 2) * 1e9 * fsi_efficiency;
+  {
+    OneThread one;
+    pcyclic::PCyclicMatrix m = make_hubbard(n_meas, l_meas);
+    prof = profile_fsi(m, c_meas, pcyclic::Pattern::Columns, 2);
+    const double core_rate =
+        static_cast<double>(prof.total_flops()) / prof.total_seconds();
+    // FSI runs at a fixed fraction of the DGEMM rate (Fig. 8 top); project
+    // the per-core rate to the paper's block sizes via the measured DGEMM
+    // curve.
+    fsi_efficiency = core_rate / (dgemm_gflops(n_meas) * 1e9);
+    std::printf("measured single-core FSI rate (N=%d, L=%d, c=%d): %.1f "
+                "Gflops (%.0f%% of DGEMM)\n\n",
+                n_meas, l_meas, c_meas, core_rate * 1e-9,
+                100 * fsi_efficiency);
+    for (index_t n : {400, 576, 784, 1024})
+      rate_at_n[n] = dgemm_gflops(n, 2) * 1e9 * fsi_efficiency;
+  }
+
+  const selinv::EdisonNode node;
 
   util::Table t([&] {
     std::vector<std::string> h{"ranks x threads"};
@@ -84,10 +88,10 @@ int main(int argc, char** argv) {
     std::vector<std::string> row{std::to_string(cfg.ranks_total) + " x " +
                                  std::to_string(cfg.threads)};
     for (index_t n : {400, 576, 784, 1024}) {
-      const std::size_t bytes =
-          mpi::fsi_rank_bytes(n, l_paper, c_paper, pcyclic::Pattern::Columns);
+      const std::size_t bytes = selinv::fsi_rank_bytes(
+          n, l_paper, c_paper, pcyclic::Pattern::Columns);
       const int ranks_per_node = cfg.ranks_total / nodes;
-      if (!mpi::config_fits(ranks_per_node, bytes, node)) {
+      if (!selinv::config_fits(ranks_per_node, bytes, node)) {
         row.push_back("OOM");
         continue;
       }
@@ -151,36 +155,6 @@ int main(int argc, char** argv) {
               skew.num_matrices, skew.heavy_fraction, demo_ranks);
   ab.print();
 
-  // (e) batch-dispatch overhead: DQMC sweeps dispatch thousands of small
-  // batches, so the per-batch cost of standing up the rank team matters.
-  // The persistent executor pool wakes sleeping workers through a condition
-  // variable; the old implementation spawned and joined one std::thread per
-  // rank per batch.  Time both on empty rank bodies.
-  const int dispatch_reps = cli.get_int("dispatch-reps", 200);
-  auto empty_body = [](mpi::Communicator& comm) { comm.barrier(); };
-  (void)sched::Executor::instance();  // pool already warm from (c)/(d)
-  mpi::run(demo_ranks, empty_body, 1);
-  util::WallTimer persist_timer;
-  for (int i = 0; i < dispatch_reps; ++i) mpi::run(demo_ranks, empty_body, 1);
-  const double dispatch_us_persistent =
-      persist_timer.seconds() / dispatch_reps * 1e6;
-  util::WallTimer spawn_timer;
-  for (int i = 0; i < dispatch_reps; ++i) {
-    std::vector<std::thread> team;
-    team.reserve(static_cast<std::size_t>(demo_ranks));
-    for (int rk = 0; rk < demo_ranks; ++rk) team.emplace_back([] {});
-    for (std::thread& th : team) th.join();
-  }
-  const double dispatch_us_spawn = spawn_timer.seconds() / dispatch_reps * 1e6;
-  const double dispatch_speedup =
-      dispatch_us_persistent > 0 ? dispatch_us_spawn / dispatch_us_persistent
-                                 : 1.0;
-  std::printf("\nbatch-dispatch overhead (%d empty %d-rank batches):\n"
-              "  persistent pool : %8.1f us/batch\n"
-              "  spawn-per-batch : %8.1f us/batch  (%.1fx slower)\n",
-              dispatch_reps, demo_ranks, dispatch_us_persistent,
-              dispatch_us_spawn, dispatch_speedup);
-
   // Task-graph telemetry from the stealing run of section (d): node count,
   // critical path and per-stage busy seconds.
   std::printf("\ntask-graph telemetry (stealing run): %llu nodes, critical "
@@ -206,12 +180,6 @@ int main(int argc, char** argv) {
   telemetry.add_metric("sched_wall_static_s", stat.seconds, "s", false, false);
   telemetry.add_metric("sched_wall_stealing_s", steal.seconds, "s", false,
                        false);
-  telemetry.add_metric("dispatch_us_persistent", dispatch_us_persistent, "us",
-                       false, false);
-  telemetry.add_metric("dispatch_us_spawn", dispatch_us_spawn, "us", false,
-                       false);
-  telemetry.add_metric("dispatch_speedup_vs_spawn", dispatch_speedup, "ratio",
-                       true, true);
   telemetry.add_metric("graph_nodes",
                        static_cast<double>(steal.sched.graph_nodes), "count");
   telemetry.add_metric("graph_critical_path_s",

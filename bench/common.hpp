@@ -5,12 +5,15 @@
 /// Every bench binary regenerates one table or figure of the paper (see
 /// DESIGN.md experiment index) and prints the measured series side by side
 /// with the paper's expected shape.  Values derived from the analytic
-/// scaling model (this host has a single CPU core — see perfmodel.hpp) are
-/// explicitly labelled "modeled".
+/// scaling model (thread counts and node counts this host does not have —
+/// see perfmodel.hpp) are explicitly labelled "modeled".
+
+#include <omp.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <thread>
 
 #include "fsi/dense/blas.hpp"
 #include "fsi/obs/health.hpp"
@@ -91,6 +94,20 @@ inline StageProfile profile_fsi(const pcyclic::PCyclicMatrix& m, index_t c,
   (void)selinv::fsi(m, ops, opts, rng, &stats);
   return StageProfile(stats);
 }
+
+/// Pins the OpenMP team size to one thread for its lifetime and restores the
+/// caller's size on exit, so a "1-thread" or "single-core" measurement is
+/// taken at one thread whatever the process default is.
+class OneThread {
+ public:
+  OneThread() : saved_(omp_get_max_threads()) { omp_set_num_threads(1); }
+  ~OneThread() { omp_set_num_threads(saved_); }
+  OneThread(const OneThread&) = delete;
+  OneThread& operator=(const OneThread&) = delete;
+
+ private:
+  int saved_;
+};
 
 /// Apply the uniform obs flags every bench accepts:
 ///   --trace / --no-trace       force span tracing on/off (overrides the
@@ -174,9 +191,10 @@ inline void print_header(const char* figure, const char* claim) {
 
 inline void print_host_note() {
   std::printf(
-      "[host note] this machine exposes 1 CPU core; multi-thread/multi-node\n"
+      "[host note] this host has %u hardware threads; multi-thread/multi-node\n"
       "rows marked 'modeled' use the calibrated scaling model of\n"
-      "fsi/selinv/perfmodel.hpp (see DESIGN.md, substitutions).\n\n");
+      "fsi/selinv/perfmodel.hpp (see DESIGN.md, substitutions).\n\n",
+      std::thread::hardware_concurrency());
 }
 
 }  // namespace fsi::bench

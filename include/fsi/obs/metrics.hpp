@@ -4,8 +4,9 @@
 ///
 /// One registry of per-thread counter slots covering the quantities the
 /// paper's performance figures are built from: floating-point operations,
-/// bytes moved through the dense kernels, kernel invocations, and mini-MPI
-/// traffic.  fsi::util::flops is a thin façade over the Flops counter here,
+/// bytes moved through the dense kernels and kernel invocations, plus the
+/// executor, serve, mixed-precision and stabilisation event counts.
+/// fsi::util::flops is a thin façade over the Flops counter here,
 /// so flop accounting and the tracing subsystem share a single registry.
 ///
 /// Concurrency model (the result of the PR-1 audit of util/flops under the
@@ -32,8 +33,6 @@ enum class Counter : int {
   Flops = 0,       ///< floating point operations (textbook counts)
   BytesMoved,      ///< bytes read+written by dense kernels (model, not HW)
   KernelCalls,     ///< dense kernel invocations (gemm/trsm/ormqr/...)
-  MpiMessages,     ///< mini-MPI point-to-point messages sent
-  MpiBytes,        ///< mini-MPI point-to-point payload bytes sent
   // PoolHits/PoolMisses are never incremented: the workspace pool is
   // deleted.  They remain only until a benchmark PR drops perfbench's pool
   // rows, which read them.

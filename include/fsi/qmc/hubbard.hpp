@@ -64,8 +64,8 @@ class HsField {
     h_[index(slice, site)] = -h_[index(slice, site)];
   }
 
-  /// Pack into doubles for mini-MPI scatter (paper Alg. 3 scatters the HS
-  /// parameters, not the matrices).
+  /// Pack into doubles for checkpoints and serve requests (paper Alg. 3
+  /// likewise scatters the HS parameters, not the matrices).
   std::vector<double> serialize() const;
   static HsField deserialize(index_t l, index_t n,
                              const double* data, std::size_t len);

@@ -13,8 +13,8 @@
 ///     simultaneously.
 ///
 /// Measurements accumulate sign-weighted sums (standard DQMC estimator
-/// <O> = <O s> / <s>), merge across OpenMP threads and mini-MPI ranks, and
-/// serialise to flat double buffers for the Alg. 3 MPI_Reduce.
+/// <O> = <O s> / <s>), merge across tasks in task order, and serialise to
+/// flat double buffers (checkpoints and serve responses).
 
 #include <vector>
 
@@ -69,7 +69,7 @@ class Measurements {
   double pair_susceptibility() const;
   double spxx(index_t tau, index_t d) const;
 
-  // -- flat-buffer exchange (mini-MPI Reduce) -------------------------------
+  // -- flat-buffer exchange (checkpoints, serve responses) -------------------
   std::vector<double> serialize() const;
   static Measurements deserialize(index_t l, index_t dmax,
                                   const std::vector<double>& buf);

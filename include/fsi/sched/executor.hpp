@@ -2,27 +2,20 @@
 /// \file executor.hpp
 /// \brief Persistent worker pool + dependency-aware graph execution.
 ///
-/// Two responsibilities, one pool of long-lived threads:
-///
-///   - run_ranks(n, body): dispatch body(0..n-1) onto n dedicated pool
-///     workers *concurrently* (mini-MPI ranks block on barriers, so they
-///     must all run at once, never be queued) and block until all return.
-///     This replaces the per-batch std::thread spawn/join in mpi::run —
-///     thread creation latency was pure overhead between batches.
-///
-///   - run_graph(graph, workers, opts): execute a validated TaskGraph on
-///     the calling thread (worker 0) plus up to workers-1 pool helpers.
-///     Dependency-free nodes are preloaded to their owner-hint worker's
-///     TaskDeque (with stealing off, that placement is the static split);
-///     newly-ready successors go to the *front* of the finishing worker's
-///     deque (depth-first, bounding live per-task memory) while idle
-///     workers steal the back half of a victim's deque.
+/// run_graph(graph, workers, opts) is the one entry point: it executes a
+/// validated TaskGraph on the calling thread (worker 0) plus up to
+/// workers-1 long-lived pool helpers.  Dependency-free nodes are preloaded
+/// to their owner-hint worker's TaskDeque (with stealing off, that
+/// placement is the static split); newly-ready successors go to the *front*
+/// of the finishing worker's deque (depth-first, bounding live per-task
+/// memory) while idle workers steal the back half of a victim's deque.
 ///
 /// The pool grows on demand and never blocks waiting for a busy worker, so
-/// nested dispatch (a graph run inside a rank body, a rank batch inside a
-/// test) cannot deadlock.  Idle workers sleep on a condition variable.
-/// Executor::instance() is the lazily-created, intentionally-leaked global;
-/// local instances are constructible for tests.
+/// nested dispatch (a graph run from inside a node, or several threads
+/// calling run_graph at once) cannot deadlock.  Idle pool threads sleep on
+/// a condition variable.  Executor::instance() is the lazily-created,
+/// intentionally-leaked global; local instances are constructible for
+/// tests.
 
 #include <atomic>
 #include <condition_variable>
@@ -42,7 +35,6 @@ namespace fsi::sched {
 /// Knobs of one graph run.
 struct ExecOptions {
   bool work_stealing = true;  ///< false = nodes never leave their owner
-  int backoff_us = 50;        ///< idle backoff between failed steal scans
   int omp_threads = 0;        ///< >0: OMP team size set on every worker
 };
 
@@ -96,7 +88,8 @@ class GraphRunner {
   GraphRunner(const TaskGraph& graph, int num_workers, ExecOptions options);
 
   /// Worker \p worker's loop: pop own deque front, else steal, else back
-  /// off; returns when every node of the graph has been retired.
+  /// off (sleep 50 us); returns when every node of the graph has been
+  /// retired.
   void run_worker(int worker);
 
   int workers() const { return num_workers_; }
@@ -138,27 +131,17 @@ class Executor {
   /// would race user code).
   static Executor& instance();
 
-  /// Dispatch body(0), ..., body(n-1) onto n distinct pool workers, block
-  /// until all have returned, rethrow the first exception.  Workers are
-  /// reused across calls; the pool grows (never blocks) when fewer than n
-  /// are free.  When \p omp_threads > 0 each worker's OpenMP team size is
-  /// set to it for this batch; otherwise the default captured at pool
-  /// construction is restored — a previous batch's setting never leaks.
-  void run_ranks(int n, const std::function<void(int)>& body,
-                 int omp_threads = 0);
-
   /// Execute \p graph on the calling thread plus up to workers-1 pool
-  /// helpers.  The caller participates as worker 0, so a graph run from
-  /// inside a rank body degrades gracefully instead of deadlocking.
-  /// Rethrows the first node exception after the graph has drained.
+  /// helpers.  Helpers are reused across calls; the pool grows (never
+  /// blocks) when fewer than workers-1 are free.  The caller participates
+  /// as worker 0, so a graph run from inside a node degrades gracefully
+  /// instead of deadlocking.  Rethrows the first node exception after the
+  /// graph has drained.
   GraphStats run_graph(const TaskGraph& graph, int workers,
                        const ExecOptions& options);
 
   /// Threads currently in the pool (grows monotonically).
   int pool_size() const;
-
-  /// run_ranks batches dispatched so far (bench overhead accounting).
-  std::uint64_t dispatch_count() const;
 
  private:
   struct Slot {
@@ -167,8 +150,9 @@ class Executor {
   };
   struct Batch;  // dispatch-completion state, defined in executor.cpp
 
-  /// Pick n free slots (growing the pool as needed) and hand each a job.
-  /// Returns the shared completion state to wait_batch() on.
+  /// Pick n free slots (growing the pool as needed) and hand each a job,
+  /// which must not throw.  Returns the shared completion state to
+  /// wait_batch() on.
   std::shared_ptr<Batch> dispatch(
       int n, const std::function<void(int slot_index)>& job);
   void wait_batch(const std::shared_ptr<Batch>& batch);
@@ -180,8 +164,6 @@ class Executor {
   std::vector<std::unique_ptr<Slot>> slots_;
   std::vector<std::thread> threads_;
   bool shutdown_ = false;
-  std::uint64_t dispatches_ = 0;
-  int default_omp_threads_ = 0;  ///< OMP ICV captured at first growth
 };
 
 }  // namespace fsi::sched

@@ -46,9 +46,12 @@ class TaskGraph {
   /// consumers can keep per-worker output buffers without locking);
   /// \p owner_hint names the worker whose deque the node is preloaded to
   /// when it starts dependency-free (clamped into range by the executor) —
-  /// with stealing disabled this *is* the static assignment.
+  /// with stealing disabled this *is* the static assignment.  \p span, if
+  /// set (a string literal), names the trace span the executor records
+  /// around the body from the same two clock reads as the node's busy time,
+  /// so a stage's span sum and its busy seconds are one measurement.
   NodeId add_node(std::function<void(int)> body, Stage stage = Stage::Other,
-                  int owner_hint = 0);
+                  int owner_hint = 0, const char* span = nullptr);
 
   /// Declare that \p from must complete before \p to may start.
   /// Both ids must already exist; self-edges are rejected.
@@ -69,6 +72,7 @@ class TaskGraph {
     std::function<void(int)> body;
     Stage stage = Stage::Other;
     int owner_hint = 0;
+    const char* span = nullptr;
     std::uint32_t num_deps = 0;
     std::vector<NodeId> successors;
   };

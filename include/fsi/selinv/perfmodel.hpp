@@ -4,14 +4,15 @@
 ///
 /// SUBSTITUTION NOTE (see DESIGN.md): the paper's scaling experiments ran on
 /// 12-core Ivy Bridge sockets and 100 Edison nodes.  This reproduction host
-/// exposes a single CPU core, so hardware thread-scaling cannot be measured
+/// has 4 cores, so most of that thread and node scaling cannot be measured
 /// directly.  Instead the benches measure the *serial* per-stage times and
-/// flop counts (which they can, exactly) and extrapolate with the Amdahl-style
-/// model below, whose two free parameters — the kernel-parallel fraction of
-/// the "pure threaded-MKL" mode and the coarse-grain fraction of the
-/// FSI/OpenMP mode — are calibrated once against the paper's reported
-/// endpoints (MKL ~1.9x and FSI ~10x at 12 threads, Fig. 8 bottom).  All
-/// model-derived numbers are labelled "modeled" in bench output.
+/// flop counts (which they can, exactly) and extrapolate with the
+/// Amdahl-style model below, whose two free parameters — the
+/// kernel-parallel fraction of the "pure threaded-MKL" mode and the
+/// coarse-grain fraction of the FSI/OpenMP mode — are calibrated once
+/// against the paper's reported endpoints (MKL ~1.9x and FSI ~10x at 12
+/// threads, Fig. 8 bottom).  All model-derived numbers are labelled
+/// "modeled" in bench output.
 ///
 /// The model is deliberately simple and inspectable:
 ///   - FSI/OpenMP mode: CLS is b-way parallel, WRP is b^2-way parallel
@@ -21,8 +22,20 @@
 ///   - MKL-style mode: the only parallelism is inside dense kernels; its
 ///     efficiency depends on the block size N (small blocks don't saturate
 ///     threaded BLAS).
+///
+/// Fig. 9 also needs a memory model.  Pure-MPI execution (24 ranks per
+/// Edison node) is the fastest configuration *when it fits in memory*, but
+/// for N >= 576 the per-rank footprint exceeds the node's budget and the
+/// job is OOM-killed, so hybrid MPI/OpenMP is required.  EdisonNode,
+/// fsi_rank_bytes and config_fits reproduce that feasibility boundary
+/// analytically (paper: "When N = 576, the memory requirement for the
+/// selected inversion is approximately 2.65 GB; 12 MPI processes per socket
+/// require 31.8 GB that exceeds the available memory").
+
+#include <cstddef>
 
 #include "fsi/dense/matrix.hpp"
+#include "fsi/pcyclic/patterns.hpp"
 
 namespace fsi::selinv {
 
@@ -58,5 +71,31 @@ double mkl_style_time(const StageTimes& serial, int threads,
 double hybrid_rate(double single_core_flops_per_sec, int nodes,
                    int ranks_per_node, int threads_per_rank,
                    const StageTimes& serial_profile, dense::index_t b);
+
+/// Hardware description of one Edison node (paper Sec. III-A / V).
+struct EdisonNode {
+  int sockets = 2;
+  int cores_per_socket = 12;
+  double memory_gb = 64.0;
+  /// OS / Lustre / MPI buffers etc.: the paper quotes ~2.5 GB usable per
+  /// core out of 64/24 = 2.67 GB, i.e. ~6.7% reserved.
+  double reserved_gb = 4.0;
+
+  int cores() const { return sockets * cores_per_socket; }
+  double usable_gb() const { return memory_gb - reserved_gb; }
+};
+
+/// Estimated bytes one MPI rank needs to run FSI on one Hubbard matrix with
+/// the given shape: B blocks (L N^2), the stored B^-1 blocks the wrapping
+/// moves multiply by (L N^2), the reduced matrix (b N^2), the dense reduced
+/// inverse ((bN)^2) and the selected inversion itself (the dominant term:
+/// bL N^2 for block columns — 2.65 GB at (N, L, c) = (576, 100, 10),
+/// matching the paper).
+std::size_t fsi_rank_bytes(dense::index_t n, dense::index_t l, dense::index_t c,
+                           pcyclic::Pattern pattern);
+
+/// Can \p ranks_per_node ranks of \p bytes_per_rank each run on \p node?
+bool config_fits(int ranks_per_node, std::size_t bytes_per_rank,
+                 const EdisonNode& node = EdisonNode{});
 
 }  // namespace fsi::selinv

@@ -11,8 +11,9 @@
 /// complexities.
 ///
 /// The counter is thread-local with a global registry so that totals include
-/// work done by OpenMP worker threads and mini-MPI ranks.  add() is a single
-/// thread-local increment — cheap enough to keep enabled in release builds.
+/// work done by OpenMP worker threads and graph-executor workers.  add() is
+/// a single thread-local increment — cheap enough to keep enabled in release
+/// builds.
 ///
 /// Since ISSUE 1 this is a façade over the unified observability registry
 /// (fsi/obs/metrics.hpp, Counter::Flops), so flop totals, byte counters and

@@ -13,8 +13,9 @@
 namespace fsi::util {
 
 /// Enable FTZ + DAZ on this thread (x86 MXCSR bits 15 and 6).  No effect on
-/// non-x86 builds.  Each OpenMP / mini-MPI worker thread inherits the mode
-/// only if it was set before thread creation, so call this first in main().
+/// non-x86 builds.  Each OpenMP / graph-executor worker thread inherits the
+/// mode only if it was set before thread creation, so call this first in
+/// main().
 /// Also records the mode in obs::metrics::Gauge::FlushToZero so telemetry
 /// fingerprints carry the FP environment.
 void enable_flush_to_zero() noexcept;

@@ -2,8 +2,8 @@
 /// \file rng.hpp
 /// \brief Deterministic pseudo-random number generation.
 ///
-/// DQMC results must be reproducible run-to-run, and the mini-MPI layer needs
-/// independent streams per rank, so we use xoshiro256** (public-domain
+/// DQMC results must be reproducible run-to-run, and Alg. 3 needs an
+/// independent stream per task, so we use xoshiro256** (public-domain
 /// algorithm by Blackman & Vigna) with a splitmix64 seeder and a jump-free
 /// "stream id" mix instead of relying on std::mt19937 state-size overhead.
 

@@ -29,24 +29,28 @@ using pcyclic::Selection;
 
 namespace {
 
-/// Meters one FSI stage: opens a trace span and, on destruction, adds the
-/// stage's wall time and flop delta to the FsiStats fields it was given.
+/// Meters one FSI stage: on destruction, records the stage's trace span
+/// and adds the same interval and the flop delta to the FsiStats fields it
+/// was given (one pair of clock reads, as the executor does for nodes).
 class StageMeter {
  public:
   StageMeter(const char* span_name, double& seconds, std::uint64_t& flops)
-      : span_(span_name), seconds_(seconds), flops_(flops) {}
+      : span_name_(span_name), seconds_(seconds), flops_(flops),
+        t0_ns_(obs::now_ns()) {}
   StageMeter(const StageMeter&) = delete;
   StageMeter& operator=(const StageMeter&) = delete;
   ~StageMeter() {
-    seconds_ += timer_.seconds();
+    const std::int64_t t1_ns = obs::now_ns();
+    obs::record_interval(span_name_, t0_ns_, t1_ns);
+    seconds_ += static_cast<double>(t1_ns - t0_ns_) * 1e-9;
     flops_ += flop_scope_.elapsed();
   }
 
  private:
-  obs::Span span_;
+  const char* span_name_;
   double& seconds_;
   std::uint64_t& flops_;
-  util::WallTimer timer_;
+  std::int64_t t0_ns_;
   util::flops::Scope flop_scope_;
 };
 
@@ -420,24 +424,22 @@ FsiEmit emit_fsi_tasks(sched::TaskGraph& graph, FsiGraphTask<T>& task,
   for (index_t i = 0; i < b; ++i) {
     const sched::NodeId id = graph.add_node(
         [t, c, q, i](int) {
-          FSI_OBS_SPAN("fsi.cls");
           t->cls_blocks[static_cast<std::size_t>(i)] =
               to_fp64(cluster_product<T>(*t->m, c, q, i));
         },
-        sched::Stage::Cls, owner_hint);
+        sched::Stage::Cls, owner_hint, "fsi.cls");
     if (after) graph.add_edge(*after, id);
     cls_nodes.push_back(id);
   }
   emit.bsofi = graph.add_node(
       [t](int) {
-        FSI_OBS_SPAN("fsi.bsofi");
         t->flops_at_cls_end = util::flops::total();
         invert_reduced(PCyclicMatrix(std::move(t->cls_blocks)), *t);
         for (Pattern p : t->patterns)
           t->results.emplace_back(p, t->m->block_size(), t->sel);
         t->flops_at_bsofi_end = util::flops::total();
       },
-      sched::Stage::Bsofi, owner_hint);
+      sched::Stage::Bsofi, owner_hint, "fsi.bsofi");
   for (sched::NodeId id : cls_nodes) graph.add_edge(id, emit.bsofi);
 
   for (std::size_t p = 0; p < task.patterns.size(); ++p) {
@@ -446,10 +448,9 @@ FsiEmit emit_fsi_tasks(sched::TaskGraph& graph, FsiGraphTask<T>& task,
     for (index_t s = 0; s < seeds; ++s) {
       const sched::NodeId w = graph.add_node(
           [t, p, pat, s](int) {
-            FSI_OBS_SPAN("fsi.wrap");
             wrap_seed(*t->ops, t->gtilde, pat, t->sel, t->results[p], s);
           },
-          sched::Stage::Wrap, owner_hint);
+          sched::Stage::Wrap, owner_hint, "fsi.wrap");
       graph.add_edge(emit.bsofi, w);
       emit.wrap_nodes.push_back(w);
     }
@@ -502,9 +503,8 @@ bool use_graph(const FsiOptions& opts) {
 }
 
 /// Graph workers for a standalone fsi() call: FSI_EXEC_WORKERS, or the
-/// caller's OMP team size (which a graph worker or mini-MPI rank body has
-/// already had set to its allotment — nested graphs stay within their
-/// share).
+/// caller's OMP team size (which a graph worker has already had set to its
+/// allotment — nested graphs stay within their share).
 int graph_workers() {
   const long w = obs::env_long("FSI_EXEC_WORKERS", 0);
   return w > 0 ? static_cast<int>(w) : omp_get_max_threads();

@@ -22,8 +22,6 @@ const char* counter_help(Counter c) {
     case Counter::Flops: return "Floating point operations (textbook counts)";
     case Counter::BytesMoved: return "Bytes read+written by dense kernels";
     case Counter::KernelCalls: return "Dense kernel invocations";
-    case Counter::MpiMessages: return "Mini-MPI point-to-point messages sent";
-    case Counter::MpiBytes: return "Mini-MPI point-to-point payload bytes";
     case Counter::PoolHits: return "Always 0 (workspace pool deleted)";
     case Counter::PoolMisses: return "Always 0 (workspace pool deleted)";
     case Counter::ExecNodes: return "Task-graph nodes executed";

@@ -66,7 +66,9 @@ void append_timestamp(std::string& out) {
 #else
   gmtime_r(&secs, &tm);
 #endif
-  char buf[40];
+  // Sized for the widest expansion of the format with unconstrained int
+  // fields (78 bytes), not just for real dates (24), so it never truncates.
+  char buf[80];
   std::snprintf(buf, sizeof buf, "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
                 tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday, tm.tm_hour,
                 tm.tm_min, tm.tm_sec, static_cast<int>(ms));

@@ -75,8 +75,6 @@ const char* name(Counter c) noexcept {
     case Counter::Flops: return "flops";
     case Counter::BytesMoved: return "bytes_moved";
     case Counter::KernelCalls: return "kernel_calls";
-    case Counter::MpiMessages: return "mpi_messages";
-    case Counter::MpiBytes: return "mpi_bytes";
     case Counter::PoolHits: return "pool_hits";
     case Counter::PoolMisses: return "pool_misses";
     case Counter::ExecNodes: return "exec_nodes";

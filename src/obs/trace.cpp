@@ -217,8 +217,11 @@ std::string summary_str() {
                   s.total_s, s.min_s, s.p50_s, s.max_s);
     out += line;
   }
-  if (const std::uint64_t d = dropped_events())
-    out += "(" + std::to_string(d) + " events dropped: buffer full)\n";
+  if (const std::uint64_t d = dropped_events()) {
+    out += '(';
+    out += std::to_string(d);
+    out += " events dropped: buffer full)\n";
+  }
   return out;
 }
 

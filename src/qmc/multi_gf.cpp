@@ -11,7 +11,6 @@
 
 #include "fsi/obs/log.hpp"
 #include "fsi/obs/metrics.hpp"
-#include "fsi/obs/trace.hpp"
 #include "fsi/qmc/dqmc.hpp"
 #include "fsi/sched/executor.hpp"
 #include "fsi/selinv/fsi.hpp"
@@ -123,7 +122,6 @@ std::vector<Measurements> run_batch(const HubbardModel& model,
       const Spin spin = (sw == &tw->up) ? Spin::Up : Spin::Down;
       const sched::NodeId build = graph.add_node(
           [&model, &task, sw, spin](int) {
-            FSI_OBS_SPAN("qmc.build_m");
             sw->mat = std::make_unique<pcyclic::PCyclicMatrix>(
                 model.build_m(task.field, spin));
             sw->ops = std::make_unique<pcyclic::BasicBlockOps<T>>(
@@ -131,7 +129,7 @@ std::vector<Measurements> run_batch(const HubbardModel& model,
             sw->fsi.m = sw->mat.get();
             sw->fsi.ops = sw->ops.get();
           },
-          sched::Stage::Build, hint);
+          sched::Stage::Build, hint, "qmc.build_m");
       sw->fsi.sel = sel;
       sw->fsi.patterns = task_patterns(task.heavy);
       const selinv::FsiEmit emit =
@@ -192,7 +190,6 @@ std::vector<Measurements> run_batch(const HubbardModel& model,
     // task count.
     const sched::NodeId measure = graph.add_node(
         [&model, &results, tw, t](int) {
-          FSI_OBS_SPAN("qmc.measure");
           tw->up.fsi.gtilde = {};
           tw->dn.fsi.gtilde = {};
           measure_task(model, tw->up.fsi.results, tw->dn.fsi.results,
@@ -203,7 +200,7 @@ std::vector<Measurements> run_batch(const HubbardModel& model,
             s->mat.reset();
           }
         },
-        sched::Stage::Measure, hint);
+        sched::Stage::Measure, hint, "qmc.measure");
     if constexpr (kMixed)
       graph.add_edge(gate_node, measure);
     else

@@ -6,13 +6,19 @@
 #include <chrono>
 
 #include "fsi/obs/metrics.hpp"
+#include "fsi/obs/trace.hpp"
 #include "fsi/util/check.hpp"
-#include "fsi/util/timer.hpp"
 
 namespace fsi::sched {
 
 // ---------------------------------------------------------------------------
 // GraphRunner
+
+namespace {
+/// Sleep between failed steal scans: long enough that idle workers leave
+/// the cores to busy ones, short next to a node's body.
+constexpr std::chrono::microseconds kIdleBackoff{50};
+}  // namespace
 
 GraphRunner::GraphRunner(const TaskGraph& graph, int num_workers,
                          ExecOptions options)
@@ -57,8 +63,11 @@ void GraphRunner::run_worker(int worker) {
       ++pw.pops;
       obs::metrics::record(obs::metrics::Hist::ReadyDepth, depth);
       const TaskGraph::Node& node = graph_.nodes_[id];
-      util::WallTimer timer;
-      if (!cancelled_.load(std::memory_order_relaxed)) {
+      // One pair of clock reads feeds both the node's busy time and its
+      // span: a preemption anywhere inside lands in both or in neither.
+      const std::int64_t t0 = obs::now_ns();
+      const bool run = !cancelled_.load(std::memory_order_relaxed);
+      if (run) {
         try {
           node.body(worker);
         } catch (...) {
@@ -72,7 +81,9 @@ void GraphRunner::run_worker(int worker) {
           cancelled_.store(true, std::memory_order_relaxed);
         }
       }
-      const double s = timer.seconds();
+      const std::int64_t t1 = obs::now_ns();
+      if (run && node.span != nullptr) obs::record_interval(node.span, t0, t1);
+      const double s = static_cast<double>(t1 - t0) * 1e-9;
       durations_[id] = s;
       StageStats& ss = pw.stage[static_cast<int>(node.stage)];
       ++ss.nodes;
@@ -108,11 +119,7 @@ void GraphRunner::run_worker(int worker) {
       }
       if (stole) continue;
     }
-    if (options_.backoff_us > 0)
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(options_.backoff_us));
-    else
-      std::this_thread::yield();
+    std::this_thread::sleep_for(kIdleBackoff);
   }
 
   std::exception_ptr err;
@@ -176,8 +183,7 @@ GraphStats GraphRunner::stats() const {
 /// Completion state of one dispatch: written by the job wrappers under the
 /// pool mutex, waited on by the dispatcher.
 struct Executor::Batch {
-  int pending = 0;                          // guarded by Executor::mu_
-  std::vector<std::exception_ptr> errors;   // one slot per job, lock-free
+  int pending = 0;  // guarded by Executor::mu_
 };
 
 Executor& Executor::instance() {
@@ -198,19 +204,16 @@ std::shared_ptr<Executor::Batch> Executor::dispatch(
     int n, const std::function<void(int)>& job) {
   auto batch = std::make_shared<Batch>();
   batch->pending = n;
-  batch->errors.resize(static_cast<std::size_t>(n));
   {
     std::lock_guard<std::mutex> lock(mu_);
     FSI_CHECK(!shutdown_, "Executor: dispatch after shutdown");
-    if (threads_.empty())
-      default_omp_threads_ = omp_get_max_threads();
     std::vector<std::size_t> chosen;
     chosen.reserve(static_cast<std::size_t>(n));
     for (std::size_t s = 0; s < slots_.size() && chosen.size() < static_cast<std::size_t>(n); ++s)
       if (!slots_[s]->busy) chosen.push_back(s);
     // Grow instead of waiting for busy workers: a dispatch from inside a
-    // pool worker (nested rank batches, graph helpers under a rank) must
-    // never block on the workers it is itself occupying.
+    // pool worker (a graph run from inside a node) must never block on the
+    // workers it is itself occupying.
     while (chosen.size() < static_cast<std::size_t>(n)) {
       slots_.push_back(std::make_unique<Slot>());
       const std::size_t s = slots_.size() - 1;
@@ -223,12 +226,7 @@ std::shared_ptr<Executor::Batch> Executor::dispatch(
       Slot* slot = slots_[chosen[static_cast<std::size_t>(i)]].get();
       slot->busy = true;
       slot->job = [this, batch, job, i, slot] {
-        try {
-          job(i);
-        } catch (...) {
-          batch->errors[static_cast<std::size_t>(i)] =
-              std::current_exception();
-        }
+        job(i);
         {
           std::lock_guard<std::mutex> lock(mu_);
           slot->busy = false;
@@ -237,7 +235,6 @@ std::shared_ptr<Executor::Batch> Executor::dispatch(
         done_cv_.notify_all();
       };
     }
-    ++dispatches_;
   }
   job_cv_.notify_all();
   return batch;
@@ -261,22 +258,6 @@ void Executor::worker_main(std::size_t slot_index) {
     }
     job();
   }
-}
-
-void Executor::run_ranks(int n, const std::function<void(int)>& body,
-                         int omp_threads) {
-  FSI_CHECK(n > 0, "Executor: need at least one rank");
-  const int dflt = [&] {
-    std::lock_guard<std::mutex> lock(mu_);
-    return threads_.empty() ? omp_get_max_threads() : default_omp_threads_;
-  }();
-  auto batch = dispatch(n, [&, dflt](int i) {
-    omp_set_num_threads(omp_threads > 0 ? omp_threads : dflt);
-    body(i);
-  });
-  wait_batch(batch);
-  for (const std::exception_ptr& e : batch->errors)
-    if (e) std::rethrow_exception(e);
 }
 
 GraphStats Executor::run_graph(const TaskGraph& graph, int workers,
@@ -315,11 +296,6 @@ GraphStats Executor::run_graph(const TaskGraph& graph, int workers,
 int Executor::pool_size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return static_cast<int>(slots_.size());
-}
-
-std::uint64_t Executor::dispatch_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dispatches_;
 }
 
 }  // namespace fsi::sched

@@ -18,12 +18,13 @@ const char* stage_name(Stage s) noexcept {
 }
 
 NodeId TaskGraph::add_node(std::function<void(int)> body, Stage stage,
-                           int owner_hint) {
+                           int owner_hint, const char* span) {
   FSI_CHECK(body != nullptr, "TaskGraph: node needs a body");
   Node node;
   node.body = std::move(body);
   node.stage = stage;
   node.owner_hint = owner_hint;
+  node.span = span;
   nodes_.push_back(std::move(node));
   return static_cast<NodeId>(nodes_.size() - 1);
 }

@@ -45,8 +45,11 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_pair(index_t{16}, index_t{10}),
                       std::make_pair(index_t{64}, index_t{6})),
     [](const auto& info) {
-      return "N" + std::to_string(info.param.first) + "b" +
-             std::to_string(info.param.second);
+      std::string name = "N";
+      name += std::to_string(info.param.first);
+      name += 'b';
+      name += std::to_string(info.param.second);
+      return name;
     });
 
 TEST(Bsofi, RDiagonalBlocksAreTriangularAndNonsingular) {

@@ -138,8 +138,11 @@ INSTANTIATE_TEST_SUITE_P(
                                          index_t{110}),
                        ::testing::Values(std::uint64_t{1}, std::uint64_t{77})),
     [](const auto& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "s" +
-             std::to_string(std::get<1>(info.param));
+      std::string name = "n";
+      name += std::to_string(std::get<0>(info.param));
+      name += 's';
+      name += std::to_string(std::get<1>(info.param));
+      return name;
     });
 
 // ---- scalar-generic suite: the invariants at both widths -----------------

@@ -1,15 +1,17 @@
 // Tests of the dependency-aware task-graph executor: TaskGraph validation,
-// GraphRunner ordering / stealing / cancellation semantics, and the
-// persistent Executor pool (concurrent rank dispatch, pool reuse, nested
-// dispatch).
+// GraphRunner ordering / stealing / cancellation / span-timing semantics,
+// and the persistent Executor pool behind run_graph (pool reuse, recovery
+// after a throwing node, nested and concurrent run_graph calls).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "fsi/obs/trace.hpp"
 #include "fsi/sched/executor.hpp"
 #include "fsi/sched/task_graph.hpp"
 #include "fsi/util/check.hpp"
@@ -18,11 +20,18 @@ namespace {
 
 using namespace fsi;
 
-sched::ExecOptions quiet_options(bool stealing = true) {
+sched::ExecOptions exec_options(bool stealing = true) {
   sched::ExecOptions o;
   o.work_stealing = stealing;
-  o.backoff_us = 0;  // idle workers yield instead of sleeping
   return o;
+}
+
+/// \p nodes independent nodes, each incrementing \p counter once.
+sched::TaskGraph counting_graph(int nodes, std::atomic<int>& counter) {
+  sched::TaskGraph g;
+  for (int i = 0; i < nodes; ++i)
+    g.add_node([&counter](int) { counter++; }, sched::Stage::Other, i);
+  return g;
 }
 
 // ---------------------------------------------------------------------------
@@ -65,7 +74,7 @@ TEST(TaskGraph, ExecutorRejectsCyclicGraphInsteadOfDeadlocking) {
   g.add_edge(a, b);
   g.add_edge(b, a);
   EXPECT_THROW(
-      sched::Executor::instance().run_graph(g, 2, quiet_options()),
+      sched::Executor::instance().run_graph(g, 2, exec_options()),
       util::CheckError);
 }
 
@@ -75,7 +84,7 @@ TEST(TaskGraph, ExecutorRejectsCyclicGraphInsteadOfDeadlocking) {
 TEST(GraphRunner, EmptyGraphCompletesImmediately) {
   sched::TaskGraph g;
   const sched::GraphStats gs =
-      sched::Executor::instance().run_graph(g, 4, quiet_options());
+      sched::Executor::instance().run_graph(g, 4, exec_options());
   EXPECT_EQ(gs.nodes, 0u);
 }
 
@@ -88,7 +97,7 @@ TEST(GraphRunner, EveryNodeRunsExactlyOnce) {
     g.add_node([&runs, i](int) { runs[static_cast<std::size_t>(i)]++; },
                sched::Stage::Other, i % 3);
   const sched::GraphStats gs =
-      sched::Executor::instance().run_graph(g, 3, quiet_options());
+      sched::Executor::instance().run_graph(g, 3, exec_options());
   EXPECT_EQ(gs.nodes, static_cast<std::uint64_t>(kNodes));
   for (const auto& r : runs) EXPECT_EQ(r.load(), 1);
 }
@@ -130,7 +139,7 @@ TEST(GraphRunner, DependenciesOrderExecution) {
     g.add_edge(mid2, sink);
   }
   const sched::GraphStats gs =
-      sched::Executor::instance().run_graph(g, 4, quiet_options());
+      sched::Executor::instance().run_graph(g, 4, exec_options());
   EXPECT_TRUE(ordered.load());
   EXPECT_EQ(gs.nodes, static_cast<std::uint64_t>(kLanes) * 4);
   EXPECT_EQ(gs.of(sched::Stage::Build).nodes, static_cast<std::uint64_t>(kLanes));
@@ -146,7 +155,7 @@ TEST(GraphRunner, MoreWorkersThanNodes) {
   g.add_node([&runs](int) { runs++; });
   g.add_node([&runs](int) { runs++; });
   const sched::GraphStats gs =
-      sched::Executor::instance().run_graph(g, 8, quiet_options());
+      sched::Executor::instance().run_graph(g, 8, exec_options());
   EXPECT_EQ(runs.load(), 2);
   EXPECT_EQ(gs.nodes, 2u);
 }
@@ -161,7 +170,7 @@ TEST(GraphRunner, ThrowingBodyCancelsRunWithoutDeadlock) {
         g.add_node([&downstream_ran](int) { downstream_ran++; });
     g.add_edge(bad, succ);
   }
-  EXPECT_THROW(sched::Executor::instance().run_graph(g, 2, quiet_options()),
+  EXPECT_THROW(sched::Executor::instance().run_graph(g, 2, exec_options()),
                std::runtime_error);
   // Cancel-and-drain: the failing node's successors were retired, not run.
   EXPECT_EQ(downstream_ran.load(), 0);
@@ -176,7 +185,7 @@ TEST(GraphRunner, StealingDisabledPinsNodesToOwner) {
     g.add_node([&ran_by, i](int worker) {
       ran_by[static_cast<std::size_t>(i)] = worker;
     }, sched::Stage::Other, i % kWorkers);
-  sched::GraphRunner runner(g, kWorkers, quiet_options(/*stealing=*/false));
+  sched::GraphRunner runner(g, kWorkers, exec_options(/*stealing=*/false));
   std::vector<std::thread> team;
   for (int w = 0; w < kWorkers; ++w)
     team.emplace_back([&runner, w] { runner.run_worker(w); });
@@ -202,7 +211,7 @@ TEST(GraphRunner, IdleWorkerStealsFromStraggler) {
     g.add_node([&ran_by_1](int worker) {
       if (worker == 1) ran_by_1++;
     }, sched::Stage::Other, 0);
-  sched::GraphRunner runner(g, 2, quiet_options());
+  sched::GraphRunner runner(g, 2, exec_options());
   std::thread helper([&runner] { runner.run_worker(1); });
   runner.run_worker(0);
   helper.join();
@@ -213,65 +222,104 @@ TEST(GraphRunner, IdleWorkerStealsFromStraggler) {
   EXPECT_EQ(gs.nodes, static_cast<std::uint64_t>(kNodes));
 }
 
+TEST(GraphRunner, NodeSpanIsTheNodeBusyTime) {
+  // The executor records a node's span from the clock reads that give its
+  // busy time, so the span sum equals the stage's busy seconds exactly:
+  // however long a worker is descheduled, both or neither see it.
+  obs::clear();
+  obs::set_enabled(true);
+  sched::TaskGraph g;
+  for (int i = 0; i < 6; ++i)
+    g.add_node([](int) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }, sched::Stage::Cls, i, "test.node_span");
+  g.add_node([](int) {}, sched::Stage::Wrap);  // no span requested
+  const sched::GraphStats gs =
+      sched::Executor::instance().run_graph(g, 3, exec_options());
+  obs::set_enabled(false);
+  const double span_s = obs::total_seconds("test.node_span");
+  obs::clear();
+  EXPECT_GT(span_s, 6 * 100e-6);
+  EXPECT_NEAR(span_s, gs.of(sched::Stage::Cls).busy_seconds, 1e-12);
+}
+
 // ---------------------------------------------------------------------------
 // Executor (persistent pool)
 
-TEST(Executor, RunRanksExecutesBodiesConcurrently) {
-  // Rank bodies rendezvous: each arrives and waits for all others, which
-  // terminates only if all n bodies run at the same time (mini-MPI barrier
-  // semantics — queued-not-concurrent would deadlock here).
-  constexpr int kRanks = 4;
-  std::atomic<int> arrived{0};
-  sched::Executor::instance().run_ranks(kRanks, [&arrived](int) {
-    arrived++;
-    while (arrived.load() < kRanks)
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  });
-  EXPECT_EQ(arrived.load(), kRanks);
-}
-
 TEST(Executor, PoolPersistsAcrossBatches) {
+  constexpr int kWorkers = 4, kNodes = 16;
   sched::Executor& ex = sched::Executor::instance();
   std::atomic<int> runs{0};
-  ex.run_ranks(3, [&runs](int) { runs++; });
+  const sched::TaskGraph g = counting_graph(kNodes, runs);
+  ex.run_graph(g, kWorkers, exec_options());
   const int size_after_first = ex.pool_size();
-  const std::uint64_t dispatches_before = ex.dispatch_count();
-  for (int batch = 0; batch < 5; ++batch)
-    ex.run_ranks(3, [&runs](int) { runs++; });
-  EXPECT_EQ(runs.load(), 3 + 5 * 3);
-  // Same-width batches reuse the existing workers instead of spawning.
-  EXPECT_EQ(ex.pool_size(), size_after_first);
-  EXPECT_EQ(ex.dispatch_count(), dispatches_before + 5);
+  EXPECT_GE(size_after_first, kWorkers - 1);
+  for (int batch = 0; batch < 5; ++batch) {
+    ex.run_graph(g, kWorkers, exec_options());
+    // Same-width runs reuse the helpers the first run started: run_graph
+    // returns only after every helper has released its slot.
+    EXPECT_EQ(ex.pool_size(), size_after_first);
+  }
+  EXPECT_EQ(runs.load(), 6 * kNodes);
 }
 
-TEST(Executor, RunRanksPropagatesBodyException) {
-  std::atomic<int> survivors{0};
-  EXPECT_THROW(
-      sched::Executor::instance().run_ranks(3, [&survivors](int rank) {
-        if (rank == 1) throw std::runtime_error("rank failure");
-        survivors++;
-      }),
-      std::runtime_error);
-  // The other ranks still ran to completion; the pool is not poisoned.
-  EXPECT_EQ(survivors.load(), 2);
-  std::atomic<int> again{0};
-  sched::Executor::instance().run_ranks(2, [&again](int) { again++; });
-  EXPECT_EQ(again.load(), 2);
+TEST(Executor, ThrowingNodeLeavesPoolReusable) {
+  constexpr int kWorkers = 3, kNodes = 12;
+  sched::Executor& ex = sched::Executor::instance();
+  sched::TaskGraph bad;
+  bad.add_node([](int) { throw std::runtime_error("node failure"); },
+               sched::Stage::Other, 1);
+  for (int i = 0; i < kNodes; ++i) bad.add_node([](int) {});
+  EXPECT_THROW(ex.run_graph(bad, kWorkers, exec_options()),
+               std::runtime_error);
+  const int size_after_failure = ex.pool_size();
+  // The helpers that drained the failed run are back in the pool: a clean
+  // run on the same width runs every node and starts no new thread.
+  std::atomic<int> runs{0};
+  const sched::GraphStats gs =
+      ex.run_graph(counting_graph(kNodes, runs), kWorkers, exec_options());
+  EXPECT_EQ(runs.load(), kNodes);
+  EXPECT_EQ(gs.nodes, static_cast<std::uint64_t>(kNodes));
+  EXPECT_EQ(ex.pool_size(), size_after_failure);
 }
 
-TEST(Executor, NestedGraphInsideRankBatchDoesNotDeadlock) {
-  // A graph dispatched from inside a rank body (exactly what multi_gf does
-  // under a DQMC driver) must grow the pool instead of waiting for the busy
-  // rank workers.
-  constexpr int kRanks = 2, kNodesPerRank = 6;
+TEST(Executor, NestedGraphInsideNodeDoesNotDeadlock) {
+  // Every outer node runs a graph of its own, so helpers of the outer run
+  // dispatch helpers of their own: the pool must grow instead of waiting
+  // for the busy outer workers.
+  constexpr int kOuter = 4, kNodesPerInner = 6;
   std::atomic<int> total{0};
-  sched::Executor::instance().run_ranks(kRanks, [&total](int) {
-    sched::TaskGraph g;
-    for (int i = 0; i < kNodesPerRank; ++i)
-      g.add_node([&total](int) { total++; });
-    sched::Executor::instance().run_graph(g, 2, quiet_options());
-  });
-  EXPECT_EQ(total.load(), kRanks * kNodesPerRank);
+  sched::TaskGraph outer;
+  for (int i = 0; i < kOuter; ++i)
+    outer.add_node([&total](int) {
+      sched::Executor::instance().run_graph(
+          counting_graph(kNodesPerInner, total), 2, exec_options());
+    }, sched::Stage::Other, i);
+  sched::Executor::instance().run_graph(outer, 2, exec_options());
+  EXPECT_EQ(total.load(), kOuter * kNodesPerInner);
+}
+
+TEST(Executor, ConcurrentRunGraphCallersShareThePool) {
+  // Independent threads call run_graph on the shared pool at the same time
+  // (several serve replicas or DQMC drivers in one process): every call
+  // runs each of its own nodes exactly once and returns its own stats.
+  constexpr int kCallers = 4, kRounds = 8, kNodes = 24;
+  std::vector<std::atomic<int>> runs(kCallers);
+  for (auto& r : runs) r.store(0);
+  std::atomic<int> bad_stats{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c)
+    callers.emplace_back([&runs, &bad_stats, c] {
+      for (int round = 0; round < kRounds; ++round) {
+        const sched::GraphStats gs = sched::Executor::instance().run_graph(
+            counting_graph(kNodes, runs[static_cast<std::size_t>(c)]), 3,
+            exec_options());
+        if (gs.nodes != static_cast<std::uint64_t>(kNodes)) bad_stats++;
+      }
+    });
+  for (auto& t : callers) t.join();
+  for (const auto& r : runs) EXPECT_EQ(r.load(), kRounds * kNodes);
+  EXPECT_EQ(bad_stats.load(), 0);
 }
 
 TEST(Executor, GraphStatsReportBusyAndReadyTelemetry) {
@@ -281,7 +329,7 @@ TEST(Executor, GraphStatsReportBusyAndReadyTelemetry) {
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }, sched::Stage::Cls);
   const sched::GraphStats gs =
-      sched::Executor::instance().run_graph(g, 2, quiet_options());
+      sched::Executor::instance().run_graph(g, 2, exec_options());
   EXPECT_EQ(gs.nodes, 8u);
   EXPECT_GT(gs.busy_max_seconds, 0.0);
   EXPECT_GT(gs.busy_mean_seconds, 0.0);

@@ -1,5 +1,6 @@
 /// Tests for the analytic scaling model (the single-core substitution for
-/// the paper's multi-core/multi-node measurements).
+/// the paper's multi-core/multi-node measurements) and the Edison node
+/// memory model behind Fig. 9's feasibility table.
 
 #include <gtest/gtest.h>
 
@@ -79,6 +80,33 @@ TEST(HybridRate, InvalidConfigThrows) {
   StageTimes serial{1, 1, 1};
   EXPECT_THROW(hybrid_rate(1e9, 0, 1, 1, serial, 4), util::CheckError);
   EXPECT_THROW(fsi_openmp_time(serial, 2, 0), util::CheckError);
+}
+
+TEST(EdisonModel, MatchesPaperMemoryNumbers) {
+  // Paper: selected inversion for (N, L, c) = (576, 100, 10) needs ~2.65 GB.
+  const std::size_t bytes =
+      fsi_rank_bytes(576, 100, 10, pcyclic::Pattern::Columns);
+  const double gb = double(bytes) / (1024.0 * 1024 * 1024);
+  EXPECT_GT(gb, 2.6);
+  EXPECT_LT(gb, 3.6);  // selected inversion plus working set
+
+  // Paper: 12 ranks/socket (24/node) at N=576 exceed the node memory; the
+  // hybrid configs (12 ranks x 2 threads, ...) fit.
+  EXPECT_FALSE(config_fits(24, bytes));
+  EXPECT_TRUE(config_fits(12, bytes));
+
+  // N = 400 fits even in pure-MPI mode (the paper's fastest config).
+  const std::size_t bytes400 =
+      fsi_rank_bytes(400, 100, 10, pcyclic::Pattern::Columns);
+  EXPECT_TRUE(config_fits(24, bytes400));
+}
+
+TEST(EdisonModel, DiagonalPatternIsTiny) {
+  const std::size_t diag =
+      fsi_rank_bytes(576, 100, 10, pcyclic::Pattern::Diagonal);
+  const std::size_t cols =
+      fsi_rank_bytes(576, 100, 10, pcyclic::Pattern::Columns);
+  EXPECT_LT(diag, cols / 2);
 }
 
 }  // namespace

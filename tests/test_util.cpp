@@ -74,7 +74,11 @@ TEST(StageTimer, BucketReferencesSurviveLaterInsertions) {
   util::StageTimer timer;
   double& first = timer.bucket("first");
   // Creating many more buckets must not invalidate the earlier reference.
-  for (int i = 0; i < 100; ++i) timer.bucket("b" + std::to_string(i));
+  for (int i = 0; i < 100; ++i) {
+    std::string name = "b";
+    name += std::to_string(i);
+    timer.bucket(name);
+  }
   first += 2.0;
   EXPECT_EQ(timer.seconds("first"), 2.0);
 }
