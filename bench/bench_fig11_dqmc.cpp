@@ -53,10 +53,15 @@ int main(int argc, char** argv) {
   opt.measurement_sweeps = sweeps;
   opt.seed = 3;
 
-  opt.engine = qmc::GreensEngine::Fsi;
-  qmc::DqmcResult fsi_r = qmc::run_dqmc(model, opt);
-  opt.engine = qmc::GreensEngine::MklStyle;
-  qmc::DqmcResult mkl_r = qmc::run_dqmc(model, opt);
+  // Both engines are measured at one thread: the OpenMP team and, through
+  // it, run_dqmc's graph workers, which default to the team size.
+  const auto measure = [&](qmc::GreensEngine engine) {
+    OneThread one;
+    opt.engine = engine;
+    return qmc::run_dqmc(model, opt);
+  };
+  const qmc::DqmcResult fsi_r = measure(qmc::GreensEngine::Fsi);
+  const qmc::DqmcResult mkl_r = measure(qmc::GreensEngine::MklStyle);
 
   util::Table meas({"engine (measured, 1 core)", "sweeps s", "Green's fn s",
                     "measurements s", "total s", "<n>", "acc."});

@@ -18,8 +18,8 @@
 ///           back to a full fp64 rerun when the gate trips; see
 ///           docs/precision.md.
 ///
-/// The enum is wire-stable (serialised in the serve protocol v3 request
-/// field), so values must never be renumbered.
+/// The enum is wire-stable (serialised in the serve protocol's request
+/// precision field), so values must never be renumbered.
 
 #include <cstdint>
 #include <string>

@@ -33,10 +33,19 @@ enum class RecomputeMethod {
                  ///< drift blows through the obs::health budget
 };
 
-/// The recompute method selected by the FSI_STAB environment variable
-/// (stab::StabStrategy): Naive (unset/default) maps to QrAccumulate, Udt to
-/// Udt — so default runs stay bit-identical to the pre-stab pipeline.
-/// Throws util::CheckError on an unparsable FSI_STAB value.
+/// Interpret one FSI_STAB value (case-insensitive): nullptr, "", "naive"
+/// or "qr" select QrAccumulate; "udt" or "asvqrd" select Udt.  Anything else
+/// throws util::CheckError naming the value and the accepted spellings —
+/// silently falling back would un-stabilise a large-beta run.  Exposed
+/// apart from the cached reader so tests can exercise the fail-loud path
+/// without mutating the environment.
+RecomputeMethod recompute_method_from_env_value(const char* value);
+
+/// The recompute method selected by the FSI_STAB environment variable, read
+/// once and cached: QrAccumulate when unset, so default runs stay
+/// bit-identical to the pre-stab pipeline.  Throws util::CheckError on an
+/// unparsable value (retried on the next call, so a throwing first read
+/// does not poison the cache).
 RecomputeMethod default_recompute_method();
 
 /// Equal-time Green's function for one spin species.

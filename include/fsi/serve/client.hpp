@@ -17,10 +17,10 @@
 /// obs tracing is enabled — assigns a process-unique trace_id (pid << 32 |
 /// id) to untraced requests.  The reader records a "serve.client.rtt" span
 /// per response and synthesizes the server-side breakdown
-/// (serve.server.queue_wait / batch_wait / exec, from the v2 nanosecond
-/// fields) onto the *client's* timeline, centred in the RTT slack, so one
-/// chrome://tracing artifact shows the stitched client+server journey of
-/// each request under a shared trace_id.
+/// (serve.server.queue_wait / batch_wait / exec, from the response's
+/// nanosecond fields) onto the *client's* timeline, centred in the RTT
+/// slack, so one chrome://tracing artifact shows the stitched
+/// client+server journey of each request under a shared trace_id.
 
 #include <cstdint>
 #include <future>
@@ -48,7 +48,7 @@ class Client {
   /// Blocking round trip: submit() + wait.
   InvertResponse request(InvertRequest req);
 
-  /// Ask the server for a live stats snapshot (v2 admin message).  The
+  /// Ask the server for a live stats snapshot (admin message).  The
   /// future fails with an exception if the connection closes first.
   std::future<StatsResponse> submit_stats();
 

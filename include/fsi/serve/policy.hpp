@@ -114,8 +114,8 @@ class AdaptivePolicy {
   KeyPolicy state(const BatchKey& key) const;
   KeyPolicy active_state() const;
 
-  /// Every tracked key's state, most recently touched first (the stats v4
-  /// per-key table; bounded by AdaptiveConfig::max_keys).
+  /// Every tracked key's state, most recently touched first (the stats
+  /// snapshot's per-key table; bounded by AdaptiveConfig::max_keys).
   std::vector<std::pair<BatchKey, KeyPolicy>> snapshot() const;
 
   std::size_t keys() const;

@@ -10,7 +10,7 @@
 ///
 ///   [u32 magic "FSRV"] [u32 payload bytes] [payload]
 ///
-/// and every payload is schema-versioned:
+/// and every payload is stamped with the one schema this build speaks:
 ///
 ///   [u32 schema version] [u32 message type] [u64 request id] [body ...]
 ///
@@ -18,8 +18,9 @@
 /// order, bounds-checked decode — see io/wire.hpp for the interchange
 /// caveat).  A frame with a bad magic or an implausible length is
 /// unrecoverable (the stream cannot be resynchronised) and closes the
-/// connection; a well-framed payload with an unsupported schema version is
-/// answered with Status::Malformed so old clients fail loudly.
+/// connection; a well-framed payload stamped with any other schema version
+/// is answered with Status::Malformed, so a peer from another build fails
+/// loudly on the header instead of misreading a body.
 ///
 /// docs/serving.md is the authoritative protocol and lifecycle document.
 
@@ -28,34 +29,16 @@
 #include <vector>
 
 #include "fsi/dense/matrix.hpp"
-#include "fsi/util/check.hpp"
 
 namespace fsi::serve {
 
 using dense::index_t;
 
 inline constexpr std::uint32_t kFrameMagic = 0x56525346;  // "FSRV" LE
-/// Current wire schema.  v2 added end-to-end tracing (trace_id + client
-/// send timestamp on requests, a nanosecond timing breakdown on responses)
-/// and the Stats message pair.  v3 added the per-request precision field
-/// (fsi::Precision) and the precision-used / mixed-fallback echo on
-/// responses.  Each version's bodies are strict supersets of the previous
-/// — extension fields append after the older body — so the server decodes
-/// all of them and answers each request in the schema it arrived with; a
-/// v1 or v2 client never sees a v3 frame.
-inline constexpr std::uint32_t kSchemaVersion = 3;
-/// Oldest schema decode_payload still accepts.
-inline constexpr std::uint32_t kMinSchemaVersion = 1;
-/// Version tag of the StatsResponse *snapshot layout* (independent of the
-/// wire schema so the stats body can evolve without a protocol bump).
-/// v2 appended the build-provenance strings so a stats poll identifies the
-/// exact binary answering it; v1 decoders were written before those fields
-/// existed and simply never read them.  v3 appends the adaptive-batching
-/// policy block (live per-key tuning state, quota shedding, replica count)
-/// the same append-only way.  v4 appends the mixed-precision totals and
-/// the full per-key adaptive-policy table (one row per tracked BatchKey,
-/// what fsi_top renders).
-inline constexpr std::uint32_t kStatsVersion = 4;
+/// The wire schema: decode_payload accepts exactly this version and every
+/// encoder stamps it.  There is no negotiation; the number changes whenever
+/// a body layout changes, so a mismatched peer is rejected on the header.
+inline constexpr std::uint32_t kSchemaVersion = 4;
 /// Upper bound on one frame's payload; a declared length beyond this is
 /// treated as a malformed stream (protects the server from a hostile or
 /// corrupt length prefix).  64 MiB fits fields for N*L ~ 8M sites-slices.
@@ -64,8 +47,8 @@ inline constexpr std::size_t kMaxFrameBytes = 64u << 20;
 enum class MsgType : std::uint32_t {
   InvertRequest = 1,
   InvertResponse = 2,
-  StatsRequest = 3,   ///< admin: ask for a live stats snapshot (v2+)
-  StatsResponse = 4,  ///< admin: the snapshot (v2+)
+  StatsRequest = 3,   ///< admin: ask for a live stats snapshot
+  StatsResponse = 4,  ///< admin: the snapshot
 };
 
 /// Response status.  RetryAfter and DeadlineMiss are *load-shedding*
@@ -96,17 +79,12 @@ struct InvertRequest {
   std::int64_t deadline_us = 0;  ///< relative budget; 0 = none, < 0 = expired
   bool time_dependent = true;    ///< also compute Rows/Columns + SPXX
   std::vector<double> field;     ///< HsField::serialize(), length l * lx * ly
-
-  // --- schema v2 extension (defaults when decoded from a v1 frame) ---
   std::uint64_t trace_id = 0;       ///< correlation id stitched across the
                                     ///< socket; 0 = untraced request
   std::int64_t client_send_ns = 0;  ///< client clock at send (opaque to the
                                     ///< server; echoed into the access log)
-
-  // --- schema v3 extension ---
   /// Requested fsi::Precision as its wire integer (0 = fp64, 1 = mixed;
-  /// validate_request rejects anything else).  Older frames decode to 0,
-  /// so pre-v3 clients always get the fp64 path.
+  /// validate_request rejects anything else).
   std::uint32_t precision = 0;
 };
 
@@ -125,10 +103,9 @@ struct InvertResponse {
   std::vector<double> measurements;   ///< qmc::Measurements::serialize()
   std::string message;                ///< human-readable detail on errors
 
-  // --- schema v2 extension: per-request timing breakdown (all zero when
-  // encoded for a v1 client).  The nanosecond fields split the request's
-  // server-side journey so a client can print where time went and place
-  // synthesized server spans on its own trace timeline:
+  // Per-request timing breakdown.  The nanosecond fields split the
+  // request's server-side journey so a client can print where time went
+  // and place synthesized server spans on its own trace timeline:
   //   queue_wait_ns : admission -> first gathered out of the queue
   //   batch_wait_ns : gathered -> engine start (straggler window + setup)
   //   exec_ns       : engine run of the carrying batch
@@ -138,8 +115,7 @@ struct InvertResponse {
   std::uint64_t exec_ns = 0;
   double batch_occupancy = 0.0;     ///< carrying batch size / max_batch
 
-  // --- schema v3 extension: mixed-precision outcome (zero for v1/v2
-  // clients and for fp64 requests) ---
+  // Mixed-precision outcome (zero for fp64 requests).
   std::uint32_t precision_used = 0;  ///< the request's effective precision
                                      ///< mode (fsi::Precision wire integer)
   /// True when the carrying batch had at least one mixed task the health
@@ -159,10 +135,10 @@ struct WindowStat {
   double p99 = 0.0;
 };
 
-/// One tracked BatchKey's live adaptive-policy state in a stats v4
-/// snapshot (fsi_top's per-key table).  The key itself holds
-/// client-supplied doubles, so the row carries a stable hash of it rather
-/// than the raw fields.
+/// One tracked BatchKey's live adaptive-policy state in a stats snapshot
+/// (fsi_top's per-key table).  The key itself holds client-supplied
+/// doubles, so the row carries a stable hash of it rather than the raw
+/// fields.
 struct PolicyKeyRow {
   std::uint64_t key_hash = 0;   ///< serve::hash(BatchKey) of the key
   std::int64_t window_us = 0;   ///< effective coalescing window
@@ -176,7 +152,6 @@ struct PolicyKeyRow {
 /// so consecutive polls show current load, not process history.
 struct StatsResponse {
   std::uint64_t id = 0;
-  std::uint32_t stats_version = kStatsVersion;
   std::uint64_t uptime_ns = 0;        ///< since Server::start()
   std::uint64_t connections = 0;
   std::uint64_t admitted = 0;
@@ -199,19 +174,17 @@ struct StatsResponse {
   WindowStat queue_wait_s;            ///< rolling ServeQueueWait (seconds)
   WindowStat occupancy;               ///< rolling ServeBatchOccupancy
 
-  // --- stats v2 extension: build provenance of the answering daemon
-  // (obs::build_info()); empty when decoded from a v1 snapshot.
+  // Build provenance of the answering daemon (obs::build_info()).
   std::string build_version;
   std::string build_git_sha;
   std::string build_compiler;
   std::string build_type;
 
-  // --- stats v3 extension: adaptive batching + scale-out.  The policy_*
-  // fields snapshot the most recently observed BatchKey's tuning state
-  // (what fsi_top shows); all zero when decoded from an older snapshot or
-  // when the adaptive policy is disabled.
+  // Adaptive batching + scale-out.  The policy_* fields snapshot the most
+  // recently observed BatchKey's tuning state (what fsi_top shows); all
+  // zero when the adaptive policy is disabled.
   std::uint64_t rejected_quota = 0;   ///< requests shed: client over quota
-  std::uint64_t replicas = 0;         ///< replicas this daemon runs (0 = pre-v3)
+  std::uint64_t replicas = 0;         ///< replicas this daemon runs
   bool adaptive_enabled = false;
   std::uint64_t policy_keys = 0;      ///< BatchKeys the policy is tracking
   std::int64_t policy_window_us = 0;  ///< active key: effective window
@@ -221,10 +194,8 @@ struct StatsResponse {
   std::uint64_t bypass_enters = 0;    ///< total bypass entries, all keys
   std::uint64_t bypass_exits = 0;     ///< total bypass exits, all keys
 
-  // --- stats v4 extension: mixed-precision totals (process-wide
-  // obs::metrics counters) and the full per-key policy table, most
-  // recently dispatched key first.  Empty when decoded from an older
-  // snapshot.
+  // Mixed-precision totals (process-wide obs::metrics counters) and the
+  // full per-key policy table, most recently dispatched key first.
   std::uint64_t mixed_runs = 0;       ///< FSI runs attempted in mixed mode
   std::uint64_t mixed_fallbacks = 0;  ///< mixed runs health-gated to fp64
   std::vector<PolicyKeyRow> policy_rows;
@@ -238,42 +209,24 @@ struct StatsResponse {
   }
 };
 
-/// Thrown by decode_payload on a well-framed payload whose schema version
-/// is outside [kMinSchemaVersion, kSchemaVersion] — distinct from
-/// CheckError so the server can answer Status::Malformed instead of
-/// dropping the connection.
-class SchemaMismatch : public util::CheckError {
- public:
-  explicit SchemaMismatch(std::uint32_t got);
-  std::uint32_t got_version;
-};
-
 /// Encode a message into a frame *payload* (schema | type | id | body).
-/// \p version selects the wire schema: kSchemaVersion by default; passing 1
-/// emits the legacy v1 body (no tracing fields) — the server uses this to
-/// answer v1 clients in kind, and the compat tests to impersonate them.
-std::vector<std::uint8_t> encode_request(const InvertRequest& r,
-                                         std::uint32_t version = kSchemaVersion);
-std::vector<std::uint8_t> encode_response(const InvertResponse& r,
-                                          std::uint32_t version = kSchemaVersion);
-/// Stats messages exist only in v2+, so they take no version parameter.
+std::vector<std::uint8_t> encode_request(const InvertRequest& r);
+std::vector<std::uint8_t> encode_response(const InvertResponse& r);
 std::vector<std::uint8_t> encode_stats_request(std::uint64_t id);
 std::vector<std::uint8_t> encode_stats_response(const StatsResponse& r);
 
 /// Decoded frame payload; exactly one of request/response/stats is
-/// meaningful, selected by type.  \p schema records the version the frame
-/// arrived with so a server can answer in the same dialect.
+/// meaningful, selected by type.
 struct Decoded {
   MsgType type = MsgType::InvertRequest;
-  std::uint32_t schema = kSchemaVersion;
   InvertRequest request;
   InvertResponse response;
   StatsResponse stats;
 };
 
-/// Decode one frame payload.  Throws SchemaMismatch on an unsupported
-/// version and util::CheckError on truncation, trailing garbage or an
-/// unknown message type (Stats* under schema 1 is unknown: v1 never had it).
+/// Decode one frame payload.  Throws util::CheckError on a schema version
+/// other than kSchemaVersion (the message names both), on truncation,
+/// trailing garbage or an unknown message type.
 Decoded decode_payload(const std::uint8_t* data, std::size_t size);
 
 /// Append [magic | length | payload] to \p out.

@@ -74,9 +74,6 @@ struct PendingRequest {
   /// the boundary between its queue wait and its batch-formation wait in
   /// the per-request timing breakdown.  Stamped by the queue.
   std::int64_t popped_ns = 0;
-  /// Wire schema the request arrived with; the response is encoded in the
-  /// same dialect so v1 clients keep decoding.
-  std::uint32_t schema = kSchemaVersion;
   /// Deliver the response; must be safe to call from the batcher thread and
   /// must tolerate a concurrently closed connection.
   std::function<void(InvertResponse&&)> respond;

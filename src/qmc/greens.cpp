@@ -1,7 +1,10 @@
 #include "fsi/qmc/greens.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
+#include <cstdlib>
+#include <string>
 
 #include "fsi/dense/blas.hpp"
 #include "fsi/dense/lu.hpp"
@@ -13,17 +16,29 @@
 #include "fsi/obs/trace.hpp"
 #include "fsi/selinv/fsi.hpp"
 #include "fsi/stab/chain.hpp"
-#include "fsi/stab/strategy.hpp"
 #include "fsi/util/timer.hpp"
 
 namespace fsi::qmc {
 
+RecomputeMethod recompute_method_from_env_value(const char* value) {
+  std::string t = value != nullptr ? value : "";
+  std::transform(t.begin(), t.end(), t.begin(), [](unsigned char ch) {
+    return static_cast<char>(std::tolower(ch));
+  });
+  if (t.empty() || t == "naive" || t == "qr")
+    return RecomputeMethod::QrAccumulate;
+  FSI_CHECK(t == "udt" || t == "asvqrd",
+            std::string("unknown FSI_STAB value \"") + value +
+                "\" (accepted: naive, qr, udt, asvqrd)");
+  return RecomputeMethod::Udt;
+}
+
 RecomputeMethod default_recompute_method() {
-  switch (stab::stab_strategy_from_env()) {
-    case stab::StabStrategy::Udt: return RecomputeMethod::Udt;
-    case stab::StabStrategy::Naive: break;
-  }
-  return RecomputeMethod::QrAccumulate;
+  // If the initializer throws, C++ retries the static init on the next
+  // call — the cache is only populated by a successful parse.
+  static const RecomputeMethod cached =
+      recompute_method_from_env_value(std::getenv("FSI_STAB"));
+  return cached;
 }
 
 Matrix stabilized_equal_time_greens(const HubbardModel& model,

@@ -26,7 +26,7 @@ void record_stitched_spans(const InvertResponse& r, std::int64_t send_ns,
   obs::record_interval("serve.client.rtt", send_ns, recv_ns, r.trace_id);
   const auto server_ns = static_cast<std::int64_t>(
       r.queue_wait_ns + r.batch_wait_ns + r.exec_ns);
-  if (server_ns <= 0) return;  // v1 server or a pre-queue reject
+  if (server_ns <= 0) return;  // a pre-queue reject carries no breakdown
   const std::int64_t rtt = recv_ns - send_ns;
   const std::int64_t slack = rtt > server_ns ? rtt - server_ns : 0;
   std::int64_t t = send_ns + slack / 2;

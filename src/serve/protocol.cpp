@@ -8,6 +8,7 @@
 #include "fsi/precision.hpp"
 #include "fsi/qmc/dqmc.hpp"
 #include "fsi/qmc/hubbard.hpp"
+#include "fsi/util/check.hpp"
 #include "fsi/util/rng.hpp"
 
 namespace fsi::serve {
@@ -24,20 +25,10 @@ const char* status_name(Status s) noexcept {
   return "unknown";
 }
 
-SchemaMismatch::SchemaMismatch(std::uint32_t got)
-    : util::CheckError("serve: schema version " + std::to_string(got) +
-                       " (this build speaks " +
-                       std::to_string(kMinSchemaVersion) + ".." +
-                       std::to_string(kSchemaVersion) + ")"),
-      got_version(got) {}
-
 namespace {
 
-void put_header(io::WireWriter& w, std::uint32_t version, MsgType type,
-                std::uint64_t id) {
-  FSI_CHECK(version >= kMinSchemaVersion && version <= kSchemaVersion,
-            "serve: cannot encode schema version " + std::to_string(version));
-  w.put_u32(version);
+void put_header(io::WireWriter& w, MsgType type, std::uint64_t id) {
+  w.put_u32(kSchemaVersion);
   w.put_u32(static_cast<std::uint32_t>(type));
   w.put_u64(id);
 }
@@ -62,10 +53,9 @@ WindowStat get_window_stat(io::WireReader& r) {
 
 }  // namespace
 
-std::vector<std::uint8_t> encode_request(const InvertRequest& r,
-                                         std::uint32_t version) {
+std::vector<std::uint8_t> encode_request(const InvertRequest& r) {
   io::WireWriter w;
-  put_header(w, version, MsgType::InvertRequest, r.id);
+  put_header(w, MsgType::InvertRequest, r.id);
   w.put_u32(r.lx);
   w.put_u32(r.ly);
   w.put_u32(r.l);
@@ -78,18 +68,15 @@ std::vector<std::uint8_t> encode_request(const InvertRequest& r,
   w.put_i64(r.deadline_us);
   w.put_u8(r.time_dependent ? 1 : 0);
   w.put_f64_vector(r.field);
-  if (version >= 2) {
-    w.put_u64(r.trace_id);
-    w.put_i64(r.client_send_ns);
-  }
-  if (version >= 3) w.put_u32(r.precision);
+  w.put_u64(r.trace_id);
+  w.put_i64(r.client_send_ns);
+  w.put_u32(r.precision);
   return w.take();
 }
 
-std::vector<std::uint8_t> encode_response(const InvertResponse& r,
-                                          std::uint32_t version) {
+std::vector<std::uint8_t> encode_response(const InvertResponse& r) {
   io::WireWriter w;
-  put_header(w, version, MsgType::InvertResponse, r.id);
+  put_header(w, MsgType::InvertResponse, r.id);
   w.put_u32(static_cast<std::uint32_t>(r.status));
   w.put_u32(r.retry_after_ms);
   w.put_i32(r.q_used);
@@ -101,30 +88,25 @@ std::vector<std::uint8_t> encode_response(const InvertResponse& r,
   w.put_u32(r.dmax);
   w.put_f64_vector(r.measurements);
   w.put_string(r.message);
-  if (version >= 2) {
-    w.put_u64(r.trace_id);
-    w.put_u64(r.queue_wait_ns);
-    w.put_u64(r.batch_wait_ns);
-    w.put_u64(r.exec_ns);
-    w.put_f64(r.batch_occupancy);
-  }
-  if (version >= 3) {
-    w.put_u32(r.precision_used);
-    w.put_u8(r.mixed_fallback ? 1 : 0);
-  }
+  w.put_u64(r.trace_id);
+  w.put_u64(r.queue_wait_ns);
+  w.put_u64(r.batch_wait_ns);
+  w.put_u64(r.exec_ns);
+  w.put_f64(r.batch_occupancy);
+  w.put_u32(r.precision_used);
+  w.put_u8(r.mixed_fallback ? 1 : 0);
   return w.take();
 }
 
 std::vector<std::uint8_t> encode_stats_request(std::uint64_t id) {
   io::WireWriter w;
-  put_header(w, kSchemaVersion, MsgType::StatsRequest, id);
+  put_header(w, MsgType::StatsRequest, id);
   return w.take();
 }
 
 std::vector<std::uint8_t> encode_stats_response(const StatsResponse& r) {
   io::WireWriter w;
-  put_header(w, kSchemaVersion, MsgType::StatsResponse, r.id);
-  w.put_u32(r.stats_version);
+  put_header(w, MsgType::StatsResponse, r.id);
   w.put_u64(r.uptime_ns);
   w.put_u64(r.connections);
   w.put_u64(r.admitted);
@@ -146,39 +128,29 @@ std::vector<std::uint8_t> encode_stats_response(const StatsResponse& r) {
   put_window_stat(w, r.latency_s);
   put_window_stat(w, r.queue_wait_s);
   put_window_stat(w, r.occupancy);
-  // Stats v2: build provenance.  Gated on the snapshot's own version tag so
-  // re-encoding a decoded v1 snapshot round-trips byte-compatibly.
-  if (r.stats_version >= 2) {
-    w.put_string(r.build_version);
-    w.put_string(r.build_git_sha);
-    w.put_string(r.build_compiler);
-    w.put_string(r.build_type);
-  }
-  // Stats v3: adaptive policy + scale-out block, same append-only rule.
-  if (r.stats_version >= 3) {
-    w.put_u64(r.rejected_quota);
-    w.put_u64(r.replicas);
-    w.put_u8(r.adaptive_enabled ? 1 : 0);
-    w.put_u64(r.policy_keys);
-    w.put_i64(r.policy_window_us);
-    w.put_u64(r.policy_max_batch);
-    w.put_u8(r.policy_bypass ? 1 : 0);
-    w.put_f64(r.policy_speedup);
-    w.put_u64(r.bypass_enters);
-    w.put_u64(r.bypass_exits);
-  }
-  // Stats v4: mixed-precision totals + the per-key policy table.
-  if (r.stats_version >= 4) {
-    w.put_u64(r.mixed_runs);
-    w.put_u64(r.mixed_fallbacks);
-    w.put_u32(static_cast<std::uint32_t>(r.policy_rows.size()));
-    for (const PolicyKeyRow& row : r.policy_rows) {
-      w.put_u64(row.key_hash);
-      w.put_i64(row.window_us);
-      w.put_u64(row.max_batch);
-      w.put_u8(row.bypass ? 1 : 0);
-      w.put_f64(row.speedup);
-    }
+  w.put_string(r.build_version);
+  w.put_string(r.build_git_sha);
+  w.put_string(r.build_compiler);
+  w.put_string(r.build_type);
+  w.put_u64(r.rejected_quota);
+  w.put_u64(r.replicas);
+  w.put_u8(r.adaptive_enabled ? 1 : 0);
+  w.put_u64(r.policy_keys);
+  w.put_i64(r.policy_window_us);
+  w.put_u64(r.policy_max_batch);
+  w.put_u8(r.policy_bypass ? 1 : 0);
+  w.put_f64(r.policy_speedup);
+  w.put_u64(r.bypass_enters);
+  w.put_u64(r.bypass_exits);
+  w.put_u64(r.mixed_runs);
+  w.put_u64(r.mixed_fallbacks);
+  w.put_u32(static_cast<std::uint32_t>(r.policy_rows.size()));
+  for (const PolicyKeyRow& row : r.policy_rows) {
+    w.put_u64(row.key_hash);
+    w.put_i64(row.window_us);
+    w.put_u64(row.max_batch);
+    w.put_u8(row.bypass ? 1 : 0);
+    w.put_f64(row.speedup);
   }
   return w.take();
 }
@@ -186,13 +158,14 @@ std::vector<std::uint8_t> encode_stats_response(const StatsResponse& r) {
 Decoded decode_payload(const std::uint8_t* data, std::size_t size) {
   io::WireReader r(data, size);
   const std::uint32_t schema = r.get_u32();
-  if (schema < kMinSchemaVersion || schema > kSchemaVersion)
-    throw SchemaMismatch(schema);
+  FSI_CHECK(schema == kSchemaVersion,
+            "serve: schema version " + std::to_string(schema) +
+                " unsupported (this build speaks " +
+                std::to_string(kSchemaVersion) + ")");
   const std::uint32_t type = r.get_u32();
   const std::uint64_t id = r.get_u64();
 
   Decoded d;
-  d.schema = schema;
   if (type == static_cast<std::uint32_t>(MsgType::InvertRequest)) {
     d.type = MsgType::InvertRequest;
     InvertRequest& q = d.request;
@@ -209,11 +182,9 @@ Decoded decode_payload(const std::uint8_t* data, std::size_t size) {
     q.deadline_us = r.get_i64();
     q.time_dependent = r.get_u8() != 0;
     q.field = r.get_f64_vector();
-    if (schema >= 2) {
-      q.trace_id = r.get_u64();
-      q.client_send_ns = r.get_i64();
-    }
-    if (schema >= 3) q.precision = r.get_u32();
+    q.trace_id = r.get_u64();
+    q.client_send_ns = r.get_i64();
+    q.precision = r.get_u32();
   } else if (type == static_cast<std::uint32_t>(MsgType::InvertResponse)) {
     d.type = MsgType::InvertResponse;
     InvertResponse& p = d.response;
@@ -230,27 +201,20 @@ Decoded decode_payload(const std::uint8_t* data, std::size_t size) {
     p.dmax = r.get_u32();
     p.measurements = r.get_f64_vector();
     p.message = r.get_string();
-    if (schema >= 2) {
-      p.trace_id = r.get_u64();
-      p.queue_wait_ns = r.get_u64();
-      p.batch_wait_ns = r.get_u64();
-      p.exec_ns = r.get_u64();
-      p.batch_occupancy = r.get_f64();
-    }
-    if (schema >= 3) {
-      p.precision_used = r.get_u32();
-      p.mixed_fallback = r.get_u8() != 0;
-    }
-  } else if (type == static_cast<std::uint32_t>(MsgType::StatsRequest) &&
-             schema >= 2) {
+    p.trace_id = r.get_u64();
+    p.queue_wait_ns = r.get_u64();
+    p.batch_wait_ns = r.get_u64();
+    p.exec_ns = r.get_u64();
+    p.batch_occupancy = r.get_f64();
+    p.precision_used = r.get_u32();
+    p.mixed_fallback = r.get_u8() != 0;
+  } else if (type == static_cast<std::uint32_t>(MsgType::StatsRequest)) {
     d.type = MsgType::StatsRequest;
     d.stats.id = id;
-  } else if (type == static_cast<std::uint32_t>(MsgType::StatsResponse) &&
-             schema >= 2) {
+  } else if (type == static_cast<std::uint32_t>(MsgType::StatsResponse)) {
     d.type = MsgType::StatsResponse;
     StatsResponse& s = d.stats;
     s.id = id;
-    s.stats_version = r.get_u32();
     s.uptime_ns = r.get_u64();
     s.connections = r.get_u64();
     s.admitted = r.get_u64();
@@ -272,44 +236,37 @@ Decoded decode_payload(const std::uint8_t* data, std::size_t size) {
     s.latency_s = get_window_stat(r);
     s.queue_wait_s = get_window_stat(r);
     s.occupancy = get_window_stat(r);
-    if (s.stats_version >= 2) {
-      s.build_version = r.get_string();
-      s.build_git_sha = r.get_string();
-      s.build_compiler = r.get_string();
-      s.build_type = r.get_string();
-    }
-    if (s.stats_version >= 3) {
-      s.rejected_quota = r.get_u64();
-      s.replicas = r.get_u64();
-      s.adaptive_enabled = r.get_u8() != 0;
-      s.policy_keys = r.get_u64();
-      s.policy_window_us = r.get_i64();
-      s.policy_max_batch = r.get_u64();
-      s.policy_bypass = r.get_u8() != 0;
-      s.policy_speedup = r.get_f64();
-      s.bypass_enters = r.get_u64();
-      s.bypass_exits = r.get_u64();
-    }
-    if (s.stats_version >= 4) {
-      s.mixed_runs = r.get_u64();
-      s.mixed_fallbacks = r.get_u64();
-      const std::uint32_t rows = r.get_u32();
-      // The policy table is LRU-bounded server-side (AdaptiveConfig
-      // max_keys, default 64); an implausible count is a hostile frame.
-      FSI_CHECK(rows <= 4096, "serve: implausible policy-row count " +
-                                  std::to_string(rows));
-      s.policy_rows.resize(rows);
-      for (PolicyKeyRow& row : s.policy_rows) {
-        row.key_hash = r.get_u64();
-        row.window_us = r.get_i64();
-        row.max_batch = r.get_u64();
-        row.bypass = r.get_u8() != 0;
-        row.speedup = r.get_f64();
-      }
+    s.build_version = r.get_string();
+    s.build_git_sha = r.get_string();
+    s.build_compiler = r.get_string();
+    s.build_type = r.get_string();
+    s.rejected_quota = r.get_u64();
+    s.replicas = r.get_u64();
+    s.adaptive_enabled = r.get_u8() != 0;
+    s.policy_keys = r.get_u64();
+    s.policy_window_us = r.get_i64();
+    s.policy_max_batch = r.get_u64();
+    s.policy_bypass = r.get_u8() != 0;
+    s.policy_speedup = r.get_f64();
+    s.bypass_enters = r.get_u64();
+    s.bypass_exits = r.get_u64();
+    s.mixed_runs = r.get_u64();
+    s.mixed_fallbacks = r.get_u64();
+    const std::uint32_t rows = r.get_u32();
+    // The policy table is LRU-bounded server-side (AdaptiveConfig max_keys,
+    // default 64); an implausible count is a hostile frame.
+    FSI_CHECK(rows <= 4096, "serve: implausible policy-row count " +
+                                std::to_string(rows));
+    s.policy_rows.resize(rows);
+    for (PolicyKeyRow& row : s.policy_rows) {
+      row.key_hash = r.get_u64();
+      row.window_us = r.get_i64();
+      row.max_batch = r.get_u64();
+      row.bypass = r.get_u8() != 0;
+      row.speedup = r.get_f64();
     }
   } else {
-    FSI_CHECK(false, "serve: unknown message type " + std::to_string(type) +
-                         " for schema " + std::to_string(schema));
+    FSI_CHECK(false, "serve: unknown message type " + std::to_string(type));
   }
   FSI_CHECK(r.exhausted(), "serve: trailing bytes after message body");
   return d;

@@ -124,13 +124,11 @@ struct Server::Impl {
   std::list<std::pair<BatchKey, std::unique_ptr<qmc::HubbardModel>>> models;
 
   // ---------------------------------------------------------------------
-  void send_response(const std::shared_ptr<Conn>& conn, InvertResponse&& r,
-                     std::uint32_t schema = kSchemaVersion);
+  void send_response(const std::shared_ptr<Conn>& conn, InvertResponse&& r);
   void log_response(const InvertResponse& r);
   void handle_payload(const std::shared_ptr<Conn>& conn,
                       const std::vector<std::uint8_t>& payload);
-  void process_request(const std::shared_ptr<Conn>& conn, InvertRequest&& req,
-                       std::uint32_t schema);
+  void process_request(const std::shared_ptr<Conn>& conn, InvertRequest&& req);
   StatsResponse build_stats(std::uint64_t id);
   void reader_loop(std::shared_ptr<Conn> conn);
   void accept_loop();
@@ -145,11 +143,11 @@ struct Server::Impl {
 };
 
 void Server::Impl::send_response(const std::shared_ptr<Conn>& conn,
-                                 InvertResponse&& r, std::uint32_t schema) {
+                                 InvertResponse&& r) {
   log_response(r);
   obs::Span span("serve.serialize");
   std::vector<std::uint8_t> frame;
-  append_frame(frame, encode_response(r, schema));
+  append_frame(frame, encode_response(r));
   std::lock_guard<std::mutex> lock(conn->write_mu);
   if (!conn->open.load(std::memory_order_relaxed)) return;
   if (!conn->sock.send_all(frame.data(), frame.size()))
@@ -184,10 +182,9 @@ void Server::Impl::handle_payload(const std::shared_ptr<Conn>& conn,
   try {
     d = decode_payload(payload.data(), payload.size());
   } catch (const util::CheckError& e) {
-    // SchemaMismatch or a malformed body.  The frame boundary is intact, so
-    // the connection survives; the client learns why its request died.
-    // Answered in v1 — the arrival schema is unknown here and every client
-    // decodes the v1 body.
+    // Another schema version or a malformed body.  The frame boundary is
+    // intact, so the connection survives; the client learns why its request
+    // died.
     count(&ServerStats::malformed);
     obs::metrics::add(obs::metrics::Counter::ServeErrors, 1);
     FSI_LOG_WARN("serve.malformed", {"reason", e.what()});
@@ -195,7 +192,7 @@ void Server::Impl::handle_payload(const std::shared_ptr<Conn>& conn,
     r.id = 0;
     r.status = Status::Malformed;
     r.message = e.what();
-    send_response(conn, std::move(r), kMinSchemaVersion);
+    send_response(conn, std::move(r));
     return;
   }
   if (d.type == MsgType::StatsRequest) {
@@ -218,14 +215,14 @@ void Server::Impl::handle_payload(const std::shared_ptr<Conn>& conn,
     r.id = 0;
     r.status = Status::Malformed;
     r.message = "server accepts InvertRequest and StatsRequest messages only";
-    send_response(conn, std::move(r), kMinSchemaVersion);
+    send_response(conn, std::move(r));
     return;
   }
-  process_request(conn, std::move(d.request), d.schema);
+  process_request(conn, std::move(d.request));
 }
 
 void Server::Impl::process_request(const std::shared_ptr<Conn>& conn,
-                                   InvertRequest&& req, std::uint32_t schema) {
+                                   InvertRequest&& req) {
   const std::int64_t arrival_ns = obs::now_ns();
   InvertResponse reject;
   reject.id = req.id;
@@ -234,7 +231,7 @@ void Server::Impl::process_request(const std::shared_ptr<Conn>& conn,
   if (stopping.load()) {
     count(&ServerStats::shed_shutdown);
     reject.status = Status::ShuttingDown;
-    send_response(conn, std::move(reject), schema);
+    send_response(conn, std::move(reject));
     return;
   }
 
@@ -245,7 +242,7 @@ void Server::Impl::process_request(const std::shared_ptr<Conn>& conn,
     FSI_LOG_WARN("serve.malformed", {"id", req.id}, {"reason", why});
     reject.status = Status::Malformed;
     reject.message = why;
-    send_response(conn, std::move(reject), schema);
+    send_response(conn, std::move(reject));
     return;
   }
 
@@ -267,7 +264,7 @@ void Server::Impl::process_request(const std::shared_ptr<Conn>& conn,
                  {"reason", "expired on arrival"});
     reject.status = Status::DeadlineMiss;
     reject.message = "deadline expired on arrival";
-    send_response(conn, std::move(reject), schema);
+    send_response(conn, std::move(reject));
     return;
   }
 
@@ -277,15 +274,14 @@ void Server::Impl::process_request(const std::shared_ptr<Conn>& conn,
   p.client_id = conn->id;
   p.arrival_ns = arrival_ns;
   p.deadline_ns = deadline_us > 0 ? arrival_ns + deadline_us * 1000 : 0;
-  p.schema = schema;
   p.request = std::move(req);
   std::weak_ptr<Conn> weak = conn;
   p.alive = [weak] {
     const auto c = weak.lock();
     return c != nullptr && c->open.load(std::memory_order_relaxed);
   };
-  p.respond = [this, weak, schema](InvertResponse&& r) {
-    if (const auto c = weak.lock()) send_response(c, std::move(r), schema);
+  p.respond = [this, weak](InvertResponse&& r) {
+    if (const auto c = weak.lock()) send_response(c, std::move(r));
   };
 
   const Admit verdict = queue.admit(std::move(p));
@@ -306,7 +302,7 @@ void Server::Impl::process_request(const std::shared_ptr<Conn>& conn,
     reject.retry_after_ms = opts.retry_after_ms;
     reject.message = quota ? "client over per-connection quota"
                            : "admission queue full";
-    send_response(conn, std::move(reject), schema);
+    send_response(conn, std::move(reject));
     return;
   }
   count(&ServerStats::admitted);
@@ -335,7 +331,7 @@ void Server::Impl::reader_loop(std::shared_ptr<Conn> conn) {
         InvertResponse r;
         r.status = Status::Malformed;
         r.message = e.what();
-        send_response(conn, std::move(r), kMinSchemaVersion);
+        send_response(conn, std::move(r));
         fatal = true;
         break;
       }
@@ -353,7 +349,7 @@ void Server::Impl::reader_loop(std::shared_ptr<Conn> conn) {
         InvertResponse r;
         r.status = Status::Malformed;
         r.message = e.what();
-        send_response(conn, std::move(r), kMinSchemaVersion);
+        send_response(conn, std::move(r));
         fatal = true;
         break;
       }
@@ -559,7 +555,7 @@ void Server::Impl::run_batch(std::vector<PendingRequest>&& batch) {
 
   for (std::size_t i = 0; i < live.size(); ++i) {
     PendingRequest& p = live[i];
-    // The v2 breakdown: queue wait ends when the queue gathered the request
+    // The ns breakdown: queue wait ends when the queue gathered the request
     // (popped_ns), batch wait covers the straggler window + model/task
     // setup, exec is the shared engine run.
     const std::int64_t popped_ns =
@@ -616,7 +612,6 @@ void Server::Impl::run_batch(std::vector<PendingRequest>&& batch) {
 StatsResponse Server::Impl::build_stats(std::uint64_t id) {
   StatsResponse s;
   s.id = id;
-  s.stats_version = kStatsVersion;
   if (start_ns > 0)
     s.uptime_ns = static_cast<std::uint64_t>(obs::now_ns() - start_ns);
   {
@@ -662,8 +657,8 @@ StatsResponse Server::Impl::build_stats(std::uint64_t id) {
   s.build_compiler = b.compiler;
   s.build_type = b.build_type;
 
-  // Stats v3: live adaptive-policy state of the most recently dispatched
-  // key — what fsi_top renders and the tuning guide reads.
+  // Live adaptive-policy state of the most recently dispatched key — what
+  // fsi_top renders and the tuning guide reads.
   s.replicas = opts.replicas;
   s.adaptive_enabled = policy.config().enabled;
   s.policy_keys = policy.keys();
@@ -675,9 +670,9 @@ StatsResponse Server::Impl::build_stats(std::uint64_t id) {
   s.bypass_enters = policy.bypass_enters();
   s.bypass_exits = policy.bypass_exits();
 
-  // Stats v4: mixed-precision totals (process-wide metrics counters, the
-  // same series the OpenMetrics exporter publishes) and the full per-key
-  // policy table, LRU order.
+  // Mixed-precision totals (process-wide metrics counters, the same series
+  // the OpenMetrics exporter publishes) and the full per-key policy table,
+  // LRU order.
   s.mixed_runs = obs::metrics::total(obs::metrics::Counter::MixedRuns);
   s.mixed_fallbacks =
       obs::metrics::total(obs::metrics::Counter::MixedFallbacks);

@@ -1,5 +1,5 @@
 // Adaptive batching policy, per-client quota accounting, BatchKey sharding
-// and the stats-v3 wire block.
+// and the policy block of the stats body.
 //
 // The policy tests drive AdaptivePolicy with synthetic BatchObservation
 // traces — no server, no clocks — so the state machine's transitions are
@@ -343,12 +343,11 @@ TEST(ServeShard, RendezvousMinimalDisruptionOnShrink) {
 }
 
 // ---------------------------------------------------------------------------
-// Stats v3 wire block
+// Policy block of the stats body
 
 TEST(ServeStatsV3, RoundTripsPolicyBlock) {
   StatsResponse s;
   s.id = 99;
-  s.stats_version = kStatsVersion;
   s.admitted = 10;
   s.rejected_quota = 3;
   s.replicas = 2;
@@ -363,6 +362,7 @@ TEST(ServeStatsV3, RoundTripsPolicyBlock) {
   const auto payload = encode_stats_response(s);
   const Decoded d = decode_payload(payload.data(), payload.size());
   ASSERT_EQ(d.type, MsgType::StatsResponse);
+  EXPECT_EQ(d.stats.admitted, 10u);
   EXPECT_EQ(d.stats.rejected_quota, 3u);
   EXPECT_EQ(d.stats.replicas, 2u);
   EXPECT_TRUE(d.stats.adaptive_enabled);
@@ -373,22 +373,6 @@ TEST(ServeStatsV3, RoundTripsPolicyBlock) {
   EXPECT_DOUBLE_EQ(d.stats.policy_speedup, 0.47);
   EXPECT_EQ(d.stats.bypass_enters, 2u);
   EXPECT_EQ(d.stats.bypass_exits, 1u);
-}
-
-TEST(ServeStatsV3, V2SnapshotRoundTripsWithoutPolicyBlock) {
-  // A snapshot tagged v2 must encode byte-compatibly with the pre-v3 layout
-  // (no trailing policy block) and decode with v3 defaults.
-  StatsResponse s;
-  s.stats_version = 2;
-  s.admitted = 7;
-  s.rejected_quota = 99;  // must NOT survive: v2 has no such field
-  const auto payload = encode_stats_response(s);
-  const Decoded d = decode_payload(payload.data(), payload.size());
-  ASSERT_EQ(d.type, MsgType::StatsResponse);
-  EXPECT_EQ(d.stats.admitted, 7u);
-  EXPECT_EQ(d.stats.rejected_quota, 0u);
-  EXPECT_EQ(d.stats.replicas, 0u);
-  EXPECT_FALSE(d.stats.adaptive_enabled);
 }
 
 }  // namespace

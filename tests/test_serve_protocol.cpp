@@ -11,6 +11,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -35,6 +36,7 @@
 #include "fsi/serve/server.hpp"
 #include "fsi/serve/socket.hpp"
 #include "fsi/util/check.hpp"
+#include "fsi/util/rng.hpp"
 #include "openmetrics_checker.hpp"
 
 namespace {
@@ -68,6 +70,9 @@ TEST(ServeProtocol, RequestRoundTrip) {
   r.deadline_us = 12345;
   r.time_dependent = false;
   const auto payload = encode_request(r);
+  std::uint32_t stamped = 0;
+  std::memcpy(&stamped, payload.data(), sizeof stamped);
+  EXPECT_EQ(stamped, kSchemaVersion);
   const Decoded d = decode_payload(payload.data(), payload.size());
   ASSERT_EQ(d.type, MsgType::InvertRequest);
   EXPECT_EQ(d.request.id, 42u);
@@ -89,6 +94,7 @@ TEST(ServeProtocol, ResponseRoundTrip) {
   InvertResponse r;
   r.id = 7;
   r.status = Status::Ok;
+  r.retry_after_ms = 25;
   r.q_used = 3;
   r.deadline_exceeded = true;
   r.queue_wait_us = 100;
@@ -103,6 +109,7 @@ TEST(ServeProtocol, ResponseRoundTrip) {
   ASSERT_EQ(d.type, MsgType::InvertResponse);
   EXPECT_EQ(d.response.id, 7u);
   EXPECT_EQ(d.response.status, Status::Ok);
+  EXPECT_EQ(d.response.retry_after_ms, 25u);
   EXPECT_EQ(d.response.q_used, 3);
   EXPECT_TRUE(d.response.deadline_exceeded);
   EXPECT_EQ(d.response.queue_wait_us, 100u);
@@ -118,10 +125,9 @@ TEST(ServeProtocol, V2RequestRoundTripCarriesTraceContext) {
   InvertRequest r = tiny_request(42);
   r.trace_id = 0xDEADBEEFCAFEULL;
   r.client_send_ns = 1234567890123;
-  const auto payload = encode_request(r);  // defaults to kSchemaVersion
+  const auto payload = encode_request(r);
   const Decoded d = decode_payload(payload.data(), payload.size());
   ASSERT_EQ(d.type, MsgType::InvertRequest);
-  EXPECT_EQ(d.schema, kSchemaVersion);
   EXPECT_EQ(d.request.trace_id, r.trace_id);
   EXPECT_EQ(d.request.client_send_ns, r.client_send_ns);
 }
@@ -138,7 +144,6 @@ TEST(ServeProtocol, V2ResponseRoundTripCarriesBreakdown) {
   const auto payload = encode_response(r);
   const Decoded d = decode_payload(payload.data(), payload.size());
   ASSERT_EQ(d.type, MsgType::InvertResponse);
-  EXPECT_EQ(d.schema, kSchemaVersion);
   EXPECT_EQ(d.response.trace_id, 0x1234u);
   EXPECT_EQ(d.response.queue_wait_ns, 1111u);
   EXPECT_EQ(d.response.batch_wait_ns, 2222u);
@@ -146,40 +151,12 @@ TEST(ServeProtocol, V2ResponseRoundTripCarriesBreakdown) {
   EXPECT_DOUBLE_EQ(d.response.batch_occupancy, 0.625);
 }
 
-TEST(ServeProtocol, V1EncodingDecodesWithDefaultExtensions) {
-  // A v1 frame is a strict prefix of the v2 body: decoding it must succeed
-  // and leave every extension field at its default.
-  InvertRequest req = tiny_request(5);
-  req.trace_id = 777;          // set but not encodable in v1
-  req.client_send_ns = 12345;
-  const auto req_payload = encode_request(req, /*version=*/1);
-  const Decoded dr = decode_payload(req_payload.data(), req_payload.size());
-  EXPECT_EQ(dr.schema, 1u);
-  EXPECT_EQ(dr.request.id, 5u);
-  EXPECT_EQ(dr.request.trace_id, 0u);
-  EXPECT_EQ(dr.request.client_send_ns, 0);
-
-  InvertResponse resp;
-  resp.id = 6;
-  resp.status = Status::Ok;
-  resp.trace_id = 777;
-  resp.queue_wait_ns = 999;
-  resp.batch_occupancy = 1.0;
-  const auto resp_payload = encode_response(resp, /*version=*/1);
-  const Decoded dp = decode_payload(resp_payload.data(), resp_payload.size());
-  EXPECT_EQ(dp.schema, 1u);
-  EXPECT_EQ(dp.response.id, 6u);
-  EXPECT_EQ(dp.response.trace_id, 0u);
-  EXPECT_EQ(dp.response.queue_wait_ns, 0u);
-  EXPECT_EQ(dp.response.batch_occupancy, 0.0);
-}
-
 TEST(ServeProtocol, V3RoundTripCarriesPrecision) {
   InvertRequest r = tiny_request(11);
   r.precision = 1;  // mixed
-  const auto payload = encode_request(r);  // defaults to kSchemaVersion (3)
+  const auto payload = encode_request(r);
   const Decoded d = decode_payload(payload.data(), payload.size());
-  EXPECT_EQ(d.schema, kSchemaVersion);
+  ASSERT_EQ(d.type, MsgType::InvertRequest);
   EXPECT_EQ(d.request.precision, 1u);
 
   InvertResponse resp;
@@ -189,31 +166,9 @@ TEST(ServeProtocol, V3RoundTripCarriesPrecision) {
   resp.mixed_fallback = true;
   const auto resp_payload = encode_response(resp);
   const Decoded dp = decode_payload(resp_payload.data(), resp_payload.size());
-  EXPECT_EQ(dp.schema, kSchemaVersion);
+  ASSERT_EQ(dp.type, MsgType::InvertResponse);
   EXPECT_EQ(dp.response.precision_used, 1u);
   EXPECT_TRUE(dp.response.mixed_fallback);
-}
-
-TEST(ServeProtocol, V2EncodingDropsPrecisionFields) {
-  // A v2 frame is a strict prefix of the v3 body: precision never travels
-  // and decodes to the fp64 default, so a v2 client sees today's protocol.
-  InvertRequest req = tiny_request(13);
-  req.precision = 1;
-  const auto req_payload = encode_request(req, /*version=*/2);
-  const Decoded dr = decode_payload(req_payload.data(), req_payload.size());
-  EXPECT_EQ(dr.schema, 2u);
-  EXPECT_EQ(dr.request.precision, 0u);
-
-  InvertResponse resp;
-  resp.id = 14;
-  resp.status = Status::Ok;
-  resp.precision_used = 1;
-  resp.mixed_fallback = true;
-  const auto resp_payload = encode_response(resp, /*version=*/2);
-  const Decoded dp = decode_payload(resp_payload.data(), resp_payload.size());
-  EXPECT_EQ(dp.schema, 2u);
-  EXPECT_EQ(dp.response.precision_used, 0u);
-  EXPECT_FALSE(dp.response.mixed_fallback);
 }
 
 TEST(ServeProtocol, ValidateRejectsUnknownPrecision) {
@@ -240,6 +195,14 @@ TEST(ServeQueue, BatchKeySeparatesPrecisions) {
   c.request = tiny_request(3);
   EXPECT_TRUE(a.key() == c.key());
   EXPECT_EQ(hash(a.key()), hash(c.key()));
+}
+
+void expect_window_eq(const WindowStat& got, const WindowStat& want) {
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_DOUBLE_EQ(got.mean, want.mean);
+  EXPECT_DOUBLE_EQ(got.p50, want.p50);
+  EXPECT_DOUBLE_EQ(got.p95, want.p95);
+  EXPECT_DOUBLE_EQ(got.p99, want.p99);
 }
 
 TEST(ServeProtocol, StatsRoundTrip) {
@@ -275,7 +238,6 @@ TEST(ServeProtocol, StatsRoundTrip) {
   const Decoded d = decode_payload(payload.data(), payload.size());
   ASSERT_EQ(d.type, MsgType::StatsResponse);
   EXPECT_EQ(d.stats.id, 31u);
-  EXPECT_EQ(d.stats.stats_version, kStatsVersion);
   EXPECT_EQ(d.stats.uptime_ns, 123456789u);
   EXPECT_EQ(d.stats.connections, 1u);
   EXPECT_EQ(d.stats.admitted, 2u);
@@ -295,10 +257,9 @@ TEST(ServeProtocol, StatsRoundTrip) {
   EXPECT_EQ(d.stats.queue_high_water, 13u);
   EXPECT_EQ(d.stats.queue_capacity, 64u);
   EXPECT_DOUBLE_EQ(d.stats.model_cache_hit_rate(), 0.75);
-  EXPECT_EQ(d.stats.latency_s.count, 100u);
-  EXPECT_DOUBLE_EQ(d.stats.latency_s.p95, 0.9);
-  EXPECT_DOUBLE_EQ(d.stats.queue_wait_s.mean, 0.1);
-  EXPECT_DOUBLE_EQ(d.stats.occupancy.p99, 1.0);
+  expect_window_eq(d.stats.latency_s, s.latency_s);
+  expect_window_eq(d.stats.queue_wait_s, s.queue_wait_s);
+  expect_window_eq(d.stats.occupancy, s.occupancy);
   EXPECT_EQ(d.stats.build_version, "1.2.3");
   EXPECT_EQ(d.stats.build_git_sha, "abc1234+dirty");
   EXPECT_EQ(d.stats.build_compiler, "testcc 0.0");
@@ -310,32 +271,6 @@ TEST(ServeProtocol, StatsRoundTrip) {
   EXPECT_EQ(dq.stats.id, 17u);
 }
 
-TEST(ServeProtocol, StatsV1SnapshotRoundTripsWithoutBuildStrings) {
-  // A v1-tagged snapshot (old daemon) carries no build provenance on the
-  // wire.  Both encode and decode gate on the snapshot's own version, so a
-  // decoded v1 snapshot re-encodes byte-identically and its build strings
-  // stay empty instead of desynchronising the reader.
-  StatsResponse s;
-  s.id = 5;
-  s.stats_version = 1;
-  s.served_ok = 42;
-  s.build_version = "should-not-travel";
-  s.build_git_sha = "deadbee";
-
-  const auto payload = encode_stats_response(s);
-  const Decoded d = decode_payload(payload.data(), payload.size());
-  ASSERT_EQ(d.type, MsgType::StatsResponse);
-  EXPECT_EQ(d.stats.stats_version, 1u);
-  EXPECT_EQ(d.stats.served_ok, 42u);
-  EXPECT_TRUE(d.stats.build_version.empty());
-  EXPECT_TRUE(d.stats.build_git_sha.empty());
-  EXPECT_TRUE(d.stats.build_compiler.empty());
-  EXPECT_TRUE(d.stats.build_type.empty());
-
-  const auto again = encode_stats_response(d.stats);
-  EXPECT_EQ(again, payload);
-}
-
 TEST(ServeProtocol, StatsV4RoundTripCarriesMixedTotalsAndPolicyRows) {
   StatsResponse s;
   s.id = 51;
@@ -344,12 +279,12 @@ TEST(ServeProtocol, StatsV4RoundTripCarriesMixedTotalsAndPolicyRows) {
   s.mixed_fallbacks = 3;
   s.policy_rows.push_back(PolicyKeyRow{0xDEADBEEFCAFEF00Dull, 1500, 8,
                                        /*bypass=*/false, 2.25});
-  s.policy_rows.push_back(PolicyKeyRow{42, 0, 1, /*bypass=*/true, 0.97});
+  s.policy_rows.push_back(PolicyKeyRow{42, -1, 1, /*bypass=*/true, 0.97});
 
   const auto payload = encode_stats_response(s);
   const Decoded d = decode_payload(payload.data(), payload.size());
   ASSERT_EQ(d.type, MsgType::StatsResponse);
-  EXPECT_EQ(d.stats.stats_version, kStatsVersion);
+  EXPECT_EQ(d.stats.served_ok, 7u);
   EXPECT_EQ(d.stats.mixed_runs, 40u);
   EXPECT_EQ(d.stats.mixed_fallbacks, 3u);
   ASSERT_EQ(d.stats.policy_rows.size(), 2u);
@@ -359,46 +294,10 @@ TEST(ServeProtocol, StatsV4RoundTripCarriesMixedTotalsAndPolicyRows) {
   EXPECT_FALSE(d.stats.policy_rows[0].bypass);
   EXPECT_DOUBLE_EQ(d.stats.policy_rows[0].speedup, 2.25);
   EXPECT_EQ(d.stats.policy_rows[1].key_hash, 42u);
+  EXPECT_EQ(d.stats.policy_rows[1].window_us, -1);
+  EXPECT_EQ(d.stats.policy_rows[1].max_batch, 1u);
   EXPECT_TRUE(d.stats.policy_rows[1].bypass);
   EXPECT_DOUBLE_EQ(d.stats.policy_rows[1].speedup, 0.97);
-}
-
-TEST(ServeProtocol, StatsV3SnapshotRoundTripsWithoutMixedFields) {
-  // A v3-tagged snapshot (pre-mixed daemon) carries no mixed totals and no
-  // policy table on the wire: the fields decode to their zero defaults and
-  // the snapshot re-encodes byte-identically, mirroring the v1 guarantee.
-  StatsResponse s;
-  s.id = 52;
-  s.stats_version = 3;
-  s.served_ok = 19;
-  s.adaptive_enabled = true;
-  s.policy_keys = 2;
-  s.mixed_runs = 99;  // must not travel in a v3 body
-  s.policy_rows.push_back(PolicyKeyRow{1, 2, 3, false, 4.0});
-
-  const auto payload = encode_stats_response(s);
-  const Decoded d = decode_payload(payload.data(), payload.size());
-  ASSERT_EQ(d.type, MsgType::StatsResponse);
-  EXPECT_EQ(d.stats.stats_version, 3u);
-  EXPECT_EQ(d.stats.served_ok, 19u);
-  EXPECT_TRUE(d.stats.adaptive_enabled);
-  EXPECT_EQ(d.stats.policy_keys, 2u);
-  EXPECT_EQ(d.stats.mixed_runs, 0u);
-  EXPECT_EQ(d.stats.mixed_fallbacks, 0u);
-  EXPECT_TRUE(d.stats.policy_rows.empty());
-
-  const auto again = encode_stats_response(d.stats);
-  EXPECT_EQ(again, payload);
-}
-
-TEST(ServeProtocol, StatsMessagesUnknownUnderSchemaV1) {
-  // v1 never had the Stats pair: a v1-stamped StatsRequest must be rejected
-  // as an unknown message type, not silently half-decoded.
-  auto payload = encode_stats_request(3);
-  const std::uint32_t v1 = 1;
-  std::memcpy(payload.data(), &v1, sizeof v1);
-  EXPECT_THROW(decode_payload(payload.data(), payload.size()),
-               util::CheckError);
 }
 
 TEST(ServeProtocol, TruncatedPayloadThrows) {
@@ -410,16 +309,29 @@ TEST(ServeProtocol, TruncatedPayloadThrows) {
   }
 }
 
-TEST(ServeProtocol, SchemaMismatchThrowsDistinctType) {
-  auto payload = encode_request(tiny_request());
-  const std::uint32_t bad_version = kSchemaVersion + 7;
-  std::memcpy(payload.data(), &bad_version, sizeof bad_version);
-  EXPECT_THROW(decode_payload(payload.data(), payload.size()), SchemaMismatch);
-  try {
-    decode_payload(payload.data(), payload.size());
-    FAIL() << "expected SchemaMismatch";
-  } catch (const SchemaMismatch& e) {
-    EXPECT_EQ(e.got_version, bad_version);
+TEST(ServeProtocol, OtherSchemaVersionsThrowCheckError) {
+  // One schema, no negotiation: every other stamp — including the versions
+  // earlier builds spoke — is rejected on the header, for every message
+  // type, with a message naming the received and the supported version.
+  const std::vector<std::vector<std::uint8_t>> payloads = {
+      encode_request(tiny_request()), encode_response(InvertResponse{}),
+      encode_stats_request(1), encode_stats_response(StatsResponse{})};
+  for (const std::uint32_t version : {0u, 1u, 2u, 3u, kSchemaVersion + 1}) {
+    for (std::vector<std::uint8_t> payload : payloads) {
+      std::memcpy(payload.data(), &version, sizeof version);
+      try {
+        decode_payload(payload.data(), payload.size());
+        ADD_FAILURE() << "schema " << version << " decoded";
+      } catch (const util::CheckError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("schema version " + std::to_string(version)),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("speaks " + std::to_string(kSchemaVersion)),
+                  std::string::npos)
+            << what;
+      }
+    }
   }
 }
 
@@ -508,6 +420,155 @@ TEST(ServeFrameParser, TruncatedFrameStaysPending) {
   EXPECT_FALSE(parser.next(payload));  // incomplete: no frame, no throw
   parser.feed(stream.data() + stream.size() - 5, 5);
   EXPECT_TRUE(parser.next(payload));
+}
+
+// ---------------------------------------------------------------------------
+// Deterministic mutational fuzz of the decoder and the frame parser.  The
+// contract under hostile bytes: decode_payload either returns — and then
+// validate_request answers without throwing — or throws util::CheckError.
+// Any other exception, or a sanitizer report, is a decoder bug.
+
+constexpr int kFuzzIterations = 40000;
+
+/// One encoding of each message type, with every variable-length field
+/// non-empty.
+std::vector<std::vector<std::uint8_t>> fuzz_corpus() {
+  InvertRequest req = tiny_request(9);
+  req.trace_id = 0xABCDEF;
+  req.client_send_ns = 123456789;
+  req.precision = 1;
+  InvertResponse resp;
+  resp.id = 9;
+  resp.status = Status::Ok;
+  resp.l = 2;
+  resp.dmax = 1;
+  resp.measurements = {1.0, -2.0, 0.5};
+  resp.message = "ok";
+  resp.trace_id = 0xABCDEF;
+  resp.exec_ns = 1000;
+  StatsResponse stats;
+  stats.id = 3;
+  stats.build_version = "1.0";
+  stats.build_git_sha = "abc";
+  stats.policy_rows.push_back(PolicyKeyRow{1, 100, 4, false, 1.5});
+  stats.policy_rows.push_back(PolicyKeyRow{2, 0, 1, true, 0.5});
+  return {encode_request(req), encode_response(resp), encode_stats_request(3),
+          encode_stats_response(stats)};
+}
+
+/// Apply one to three mutations: a bit flip, a truncation, appended random
+/// bytes, or a u32/u64 at a random offset overwritten with 0, 0xFFFFFFFF,
+/// all ones or a random value.
+void mutate(std::vector<std::uint8_t>& b, util::Rng& rng) {
+  const std::uint64_t count = 1 + rng.below(3);
+  for (std::uint64_t m = 0; m < count; ++m) {
+    switch (rng.below(4)) {
+      case 0:
+        if (!b.empty())
+          b[rng.below(b.size())] ^=
+              static_cast<std::uint8_t>(1u << rng.below(8));
+        break;
+      case 1:
+        b.resize(rng.below(b.size() + 1));
+        break;
+      case 2:
+        for (std::uint64_t i = 1 + rng.below(16); i > 0; --i)
+          b.push_back(static_cast<std::uint8_t>(rng()));
+        break;
+      default: {
+        const std::uint64_t values[] = {0, 0xFFFFFFFFull, ~0ull, rng()};
+        const std::uint64_t v64 = values[rng.below(4)];
+        const auto v32 = static_cast<std::uint32_t>(v64);
+        const bool wide = rng.below(2) == 0;
+        const std::size_t width = wide ? sizeof v64 : sizeof v32;
+        if (b.size() < width) break;
+        std::memcpy(b.data() + rng.below(b.size() - width + 1),
+                    wide ? static_cast<const void*>(&v64) : &v32, width);
+        break;
+      }
+    }
+  }
+}
+
+struct FuzzTally {
+  std::size_t decoded = 0;
+  std::size_t rejected = 0;
+};
+
+/// Check the decode contract on one payload; records a test failure and
+/// returns false when it is broken.
+bool obeys_decode_contract(const std::vector<std::uint8_t>& bytes,
+                           FuzzTally& tally) {
+  Decoded d;
+  try {
+    d = decode_payload(bytes.data(), bytes.size());
+  } catch (const util::CheckError&) {
+    ++tally.rejected;
+    return true;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "decode_payload threw a non-CheckError: " << e.what();
+    return false;
+  }
+  ++tally.decoded;
+  if (d.type != MsgType::InvertRequest) return true;
+  try {
+    (void)validate_request(d.request);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "validate_request threw: " << e.what();
+    return false;
+  }
+  return true;
+}
+
+TEST(ServeProtocolFuzz, MutatedPayloadsDecodeOrThrowCheckError) {
+  const auto corpus = fuzz_corpus();
+  util::Rng rng(0x5EED0001);
+  FuzzTally tally;
+  for (int it = 0; it < kFuzzIterations; ++it) {
+    std::vector<std::uint8_t> bytes = corpus[it % corpus.size()];
+    mutate(bytes, rng);
+    ASSERT_TRUE(obeys_decode_contract(bytes, tally)) << "iteration " << it;
+  }
+  // Both outcomes occur: the mutations get past the header and into the
+  // bodies, and the decoder's bounds checks fire.
+  EXPECT_GT(tally.decoded, 0u);
+  EXPECT_GT(tally.rejected, 0u);
+}
+
+TEST(ServeProtocolFuzz, MutatedFramesParseOrThrowCheckError) {
+  // Whole frames, magic and length prefix included, are mutated and fed to
+  // a FrameParser in random-size chunks.  next() may hold a frame pending
+  // or throw util::CheckError (stream-fatal); every payload it yields must
+  // obey the decode contract.
+  const auto corpus = fuzz_corpus();
+  util::Rng rng(0x5EED0002);
+  FuzzTally tally;
+  std::size_t stream_fatal = 0;
+  std::vector<std::uint8_t> payload;
+  for (int it = 0; it < kFuzzIterations; ++it) {
+    std::vector<std::uint8_t> frame;
+    append_frame(frame, corpus[it % corpus.size()]);
+    mutate(frame, rng);
+    FrameParser parser;
+    try {
+      for (std::size_t pos = 0; pos < frame.size();) {
+        const std::size_t chunk =
+            std::min<std::size_t>(frame.size() - pos, 1 + rng.below(64));
+        parser.feed(frame.data() + pos, chunk);
+        pos += chunk;
+        while (parser.next(payload))
+          ASSERT_TRUE(obeys_decode_contract(payload, tally))
+              << "iteration " << it;
+      }
+    } catch (const util::CheckError&) {
+      ++stream_fatal;
+    } catch (const std::exception& e) {
+      FAIL() << "iteration " << it << ": FrameParser threw " << e.what();
+    }
+  }
+  EXPECT_GT(tally.decoded, 0u);
+  EXPECT_GT(tally.rejected, 0u);
+  EXPECT_GT(stream_fatal, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -872,37 +933,54 @@ TEST(ServeServer, MalformedRequestRejectedConnectionSurvives) {
   server.stop();
 }
 
+/// Read from a raw client socket until one whole frame has arrived, and
+/// decode it.  Throws util::CheckError if the server closes first.
+Decoded recv_decoded(Socket& raw, FrameParser& parser) {
+  std::vector<std::uint8_t> payload;
+  std::uint8_t buf[4096];
+  while (!parser.next(payload)) {
+    const long got = raw.recv_some(buf, sizeof buf);
+    FSI_CHECK(got > 0, "server closed the connection before answering");
+    parser.feed(buf, static_cast<std::size_t>(got));
+  }
+  return decode_payload(payload.data(), payload.size());
+}
+
 TEST(ServeServer, WrongSchemaAnsweredMalformed) {
   GateEngine gate;
   Server server(stub_options(test_socket_path("schema"), gate));
   server.start();
 
+  // 99 is from no build; 3 is what clients built before schema 4 send.
+  // Each is answered Malformed naming the schema, and the connection
+  // survives to serve a current request.
   Socket raw = connect_to(server.endpoint());
-  auto payload = encode_request(tiny_request());
-  const std::uint32_t bad_version = 99;
-  std::memcpy(payload.data(), &bad_version, sizeof bad_version);
-  std::vector<std::uint8_t> frame;
-  append_frame(frame, payload);
-  ASSERT_TRUE(raw.send_all(frame.data(), frame.size()));
-
   FrameParser parser;
-  std::vector<std::uint8_t> resp_payload;
-  std::uint8_t buf[4096];
-  while (!parser.next(resp_payload)) {
-    const long got = raw.recv_some(buf, sizeof buf);
-    ASSERT_GT(got, 0);
-    parser.feed(buf, static_cast<std::size_t>(got));
+  for (const std::uint32_t bad_version : {99u, 3u}) {
+    auto payload = encode_request(tiny_request());
+    std::memcpy(payload.data(), &bad_version, sizeof bad_version);
+    std::vector<std::uint8_t> frame;
+    append_frame(frame, payload);
+    ASSERT_TRUE(raw.send_all(frame.data(), frame.size()));
+    const Decoded d = recv_decoded(raw, parser);
+    ASSERT_EQ(d.type, MsgType::InvertResponse);
+    EXPECT_EQ(d.response.status, Status::Malformed) << bad_version;
+    EXPECT_NE(d.response.message.find("schema"), std::string::npos)
+        << d.response.message;
   }
-  const Decoded d = decode_payload(resp_payload.data(), resp_payload.size());
-  ASSERT_EQ(d.type, MsgType::InvertResponse);
-  EXPECT_EQ(d.response.status, Status::Malformed);
-  EXPECT_NE(d.response.message.find("schema"), std::string::npos);
+  std::vector<std::uint8_t> frame;
+  append_frame(frame, encode_request(tiny_request(5)));
+  ASSERT_TRUE(raw.send_all(frame.data(), frame.size()));
+  const Decoded ok = recv_decoded(raw, parser);
+  EXPECT_EQ(ok.response.id, 5u);
+  EXPECT_EQ(ok.response.status, Status::Ok);
   raw.close();
 
-  // The daemon keeps serving.
+  // The daemon keeps serving new connections too.
   Client client(server.endpoint());
   EXPECT_EQ(client.request(tiny_request()).status, Status::Ok);
   server.stop();
+  EXPECT_EQ(server.stats().malformed, 2u);
 }
 
 TEST(ServeServer, HostileFieldCountAnsweredMalformedDaemonSurvives) {
@@ -937,14 +1015,7 @@ TEST(ServeServer, HostileFieldCountAnsweredMalformedDaemonSurvives) {
   Socket raw = connect_to(server.endpoint());
   ASSERT_TRUE(raw.send_all(frame.data(), frame.size()));
   FrameParser parser;
-  std::vector<std::uint8_t> resp_payload;
-  std::uint8_t buf[4096];
-  while (!parser.next(resp_payload)) {
-    const long got = raw.recv_some(buf, sizeof buf);
-    ASSERT_GT(got, 0);
-    parser.feed(buf, static_cast<std::size_t>(got));
-  }
-  const Decoded d = decode_payload(resp_payload.data(), resp_payload.size());
+  const Decoded d = recv_decoded(raw, parser);
   ASSERT_EQ(d.type, MsgType::InvertResponse);
   EXPECT_EQ(d.response.status, Status::Malformed);
   raw.close();
@@ -1098,7 +1169,7 @@ TEST(ServeServer, MetricsCountOutcomes) {
 }
 
 // ---------------------------------------------------------------------------
-// Schema v2: trace propagation, timing breakdown, stats endpoint
+// Trace propagation, timing breakdown, stats endpoint
 
 TEST(ServeServer, ResponseEchoesTraceIdAndBreakdown) {
   GateEngine gate;
@@ -1121,39 +1192,6 @@ TEST(ServeServer, ResponseEchoesTraceIdAndBreakdown) {
   server.stop();
 }
 
-TEST(ServeServer, V1ClientGetsV1AnswerFromV2Server) {
-  // Impersonate a v1 client on a raw socket: the request is encoded with
-  // version 1 and the server must answer in the same dialect so the old
-  // decoder keeps working bit-for-bit.
-  GateEngine gate;
-  Server server(stub_options(test_socket_path("v1_compat"), gate));
-  server.start();
-
-  Socket raw = connect_to(server.endpoint());
-  InvertRequest req = tiny_request(21);
-  std::vector<std::uint8_t> frame;
-  append_frame(frame, encode_request(req, /*version=*/1));
-  ASSERT_TRUE(raw.send_all(frame.data(), frame.size()));
-
-  FrameParser parser;
-  std::vector<std::uint8_t> resp_payload;
-  std::uint8_t buf[4096];
-  while (!parser.next(resp_payload)) {
-    const long got = raw.recv_some(buf, sizeof buf);
-    ASSERT_GT(got, 0);
-    parser.feed(buf, static_cast<std::size_t>(got));
-  }
-  const Decoded d = decode_payload(resp_payload.data(), resp_payload.size());
-  ASSERT_EQ(d.type, MsgType::InvertResponse);
-  EXPECT_EQ(d.schema, 1u);  // answered in the client's dialect
-  EXPECT_EQ(d.response.id, 21u);
-  EXPECT_EQ(d.response.status, Status::Ok);
-  EXPECT_GT(d.response.execute_us + d.response.batch_size, 0u);  // v1 fields
-  EXPECT_EQ(d.response.exec_ns, 0u);  // no v2 extension on the wire
-  raw.close();
-  server.stop();
-}
-
 TEST(ServeServer, StatsEndpointReturnsLiveSnapshot) {
   GateEngine gate;
   Server server(stub_options(test_socket_path("stats"), gate));
@@ -1162,7 +1200,6 @@ TEST(ServeServer, StatsEndpointReturnsLiveSnapshot) {
 
   ASSERT_EQ(client.request(tiny_request()).status, Status::Ok);
   const StatsResponse s = client.stats();
-  EXPECT_EQ(s.stats_version, kStatsVersion);
   EXPECT_GT(s.uptime_ns, 0u);
   EXPECT_EQ(s.connections, 1u);
   EXPECT_EQ(s.admitted, 1u);
@@ -1172,12 +1209,13 @@ TEST(ServeServer, StatsEndpointReturnsLiveSnapshot) {
   EXPECT_EQ(s.models_built, 1u);
   EXPECT_EQ(s.queue_depth, 0u);
   EXPECT_EQ(s.queue_capacity, 2u);  // stub_options queue_depth
+  EXPECT_EQ(s.replicas, 1u);
   // The request just served is inside the 10 s rolling window.
   EXPECT_GE(s.latency_s.count, 1u);
   EXPECT_GE(s.occupancy.count, 1u);
   EXPECT_GT(s.latency_s.p50, 0.0);
   EXPECT_LE(s.latency_s.p50, s.latency_s.p99);
-  // Stats v2: the daemon identifies its own build over the wire.
+  // The daemon identifies its own build over the wire.
   EXPECT_EQ(s.build_version, obs::build_info().version);
   EXPECT_EQ(s.build_git_sha, obs::build_info().git_sha);
   EXPECT_EQ(s.build_type, obs::build_info().build_type);

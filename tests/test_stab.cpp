@@ -20,7 +20,6 @@
 #include "fsi/qmc/greens.hpp"
 #include "fsi/stab/chain.hpp"
 #include "fsi/stab/reference.hpp"
-#include "fsi/stab/strategy.hpp"
 #include "fsi/stab/udt.hpp"
 #include "fsi/util/check.hpp"
 #include "testing.hpp"
@@ -205,28 +204,26 @@ TEST(StabReference, MatchesDenseInverseAtTinyBeta) {
 // ---- strategy selection --------------------------------------------------
 
 TEST(StabStrategyParse, AcceptedSpellings) {
-  StabStrategy s = StabStrategy::Udt;
-  EXPECT_TRUE(parse_stab_strategy("naive", s));
-  EXPECT_EQ(s, StabStrategy::Naive);
-  EXPECT_TRUE(parse_stab_strategy("QR", s));
-  EXPECT_EQ(s, StabStrategy::Naive);
-  EXPECT_TRUE(parse_stab_strategy("udt", s));
-  EXPECT_EQ(s, StabStrategy::Udt);
-  EXPECT_TRUE(parse_stab_strategy("ASvQRD", s));
-  EXPECT_EQ(s, StabStrategy::Udt);
-  EXPECT_FALSE(parse_stab_strategy("turbo", s));
-  EXPECT_EQ(s, StabStrategy::Udt);  // untouched on failure
-  EXPECT_STREQ(stab_strategy_name(StabStrategy::Naive), "naive");
-  EXPECT_STREQ(stab_strategy_name(StabStrategy::Udt), "udt");
+  using qmc::RecomputeMethod;
+  for (const char* naive : {"naive", "QR", "Naive", "qr"})
+    EXPECT_EQ(qmc::recompute_method_from_env_value(naive),
+              RecomputeMethod::QrAccumulate)
+        << naive;
+  for (const char* udt : {"udt", "ASvQRD", "UDT", "asvqrd"})
+    EXPECT_EQ(qmc::recompute_method_from_env_value(udt), RecomputeMethod::Udt)
+        << udt;
 }
 
 TEST(StabStrategyParse, EnvValueFailsLoudOnGarbage) {
-  EXPECT_EQ(stab_strategy_from_env_value(nullptr), StabStrategy::Naive);
-  EXPECT_EQ(stab_strategy_from_env_value(""), StabStrategy::Naive);
-  EXPECT_EQ(stab_strategy_from_env_value("udt"), StabStrategy::Udt);
-  EXPECT_THROW(stab_strategy_from_env_value("yes"), util::CheckError);
+  EXPECT_EQ(qmc::recompute_method_from_env_value(nullptr),
+            qmc::RecomputeMethod::QrAccumulate);
+  EXPECT_EQ(qmc::recompute_method_from_env_value(""),
+            qmc::RecomputeMethod::QrAccumulate);
+  EXPECT_THROW(qmc::recompute_method_from_env_value("yes"), util::CheckError);
+  EXPECT_THROW(qmc::recompute_method_from_env_value("turbo"),
+               util::CheckError);
   try {
-    stab_strategy_from_env_value("qr2");
+    qmc::recompute_method_from_env_value("qr2");
     FAIL() << "expected CheckError";
   } catch (const util::CheckError& e) {
     // The message must name the bad value and the accepted spellings.

@@ -19,10 +19,10 @@
 /// the fp32 CLS+WRP stages are not bit-reproducible against fp64, the
 /// health gate only bounds their error).  --expect-status makes a
 /// rejection the *expected* outcome (e.g. --deadline-us -1
-/// --expect-status deadline-miss in the CI smoke test).  --trace enables
-/// obs tracing: every request gets a trace_id, the server's v2 timing
-/// breakdown is printed per response, and a chrome://tracing artifact
-/// with the stitched client+server spans is written at exit.
+/// --expect-status deadline-miss in the CI smoke test).  Every Ok response
+/// prints the server's timing breakdown.  --trace enables obs tracing:
+/// every request gets a trace_id, and a chrome://tracing artifact with the
+/// stitched client+server spans is written at exit.
 
 #include <cmath>
 #include <cstdio>
@@ -157,18 +157,13 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(resp.queue_wait_us),
                     static_cast<unsigned long long>(resp.execute_us),
                     resp.measurements.size());
-        // v2 servers break the server-side journey down to nanoseconds; a
-        // v1 server leaves these at zero and the line is skipped.
-        if (resp.queue_wait_ns + resp.batch_wait_ns + resp.exec_ns > 0) {
-          std::printf(
-              "fsi_request: request %d breakdown: trace %llx, queue "
-              "%.3f ms, batch wait %.3f ms, exec %.3f ms, occupancy %.2f\n",
-              i, static_cast<unsigned long long>(resp.trace_id),
-              static_cast<double>(resp.queue_wait_ns) * 1e-6,
-              static_cast<double>(resp.batch_wait_ns) * 1e-6,
-              static_cast<double>(resp.exec_ns) * 1e-6,
-              resp.batch_occupancy);
-        }
+        std::printf(
+            "fsi_request: request %d breakdown: trace %llx, queue "
+            "%.3f ms, batch wait %.3f ms, exec %.3f ms, occupancy %.2f\n",
+            i, static_cast<unsigned long long>(resp.trace_id),
+            static_cast<double>(resp.queue_wait_ns) * 1e-6,
+            static_cast<double>(resp.batch_wait_ns) * 1e-6,
+            static_cast<double>(resp.exec_ns) * 1e-6, resp.batch_occupancy);
         if (precision == Precision::Mixed) {
           std::printf("fsi_request: request %d precision: %s%s\n", i,
                       resp.precision_used ==

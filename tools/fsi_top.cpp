@@ -5,10 +5,10 @@
 ///   fsi_top --socket unix:/tmp/fsi.sock [--interval-ms 1000] [--count 0]
 ///           [--json]
 ///
-/// Polls the daemon's StatsRequest endpoint (wire schema v2) and redraws a
-/// one-screen summary: uptime, request rate, queue depth against capacity,
-/// lifetime counters, the rolling-window latency / queue-wait percentiles,
-/// batch occupancy and model-cache hit rate.  --json suppresses the
+/// Polls the daemon's StatsRequest endpoint and redraws a one-screen
+/// summary: uptime, request rate, queue depth against capacity, lifetime
+/// counters, the rolling-window latency / queue-wait percentiles, batch
+/// occupancy and model-cache hit rate.  --json suppresses the
 /// dashboard and prints one snapshot as a single JSON object (machine
 /// consumption: the CI smoke test and scripts), then exits.  --count N
 /// stops after N polls (0 = until interrupted).
@@ -78,7 +78,7 @@ void print_json(const serve::StatsResponse& s) {
     return std::string(buf);
   };
   std::printf(
-      "{\"stats_version\":%u,\"uptime_s\":%.3f,"
+      "{\"uptime_s\":%.3f,"
       "\"connections\":%llu,\"admitted\":%llu,\"served_ok\":%llu,"
       "\"rejected_full\":%llu,\"deadline_miss\":%llu,\"cancelled\":%llu,"
       "\"malformed\":%llu,\"errors\":%llu,\"shed_shutdown\":%llu,"
@@ -95,7 +95,7 @@ void print_json(const serve::StatsResponse& s) {
       "\"mixed_runs\":%llu,\"mixed_fallbacks\":%llu,"
       "\"policy_rows\":%s,"
       "\"latency_s\":%s,\"queue_wait_s\":%s,\"occupancy\":%s}\n",
-      s.stats_version, static_cast<double>(s.uptime_ns) * 1e-9,
+      static_cast<double>(s.uptime_ns) * 1e-9,
       static_cast<unsigned long long>(s.connections),
       static_cast<unsigned long long>(s.admitted),
       static_cast<unsigned long long>(s.served_ok),
@@ -167,33 +167,29 @@ void print_dashboard(const std::string& endpoint,
               static_cast<unsigned long long>(s.model_cache_hits),
               s.model_cache_hit_rate() * 100.0,
               static_cast<unsigned long long>(s.model_cache_size));
-  // Adaptive-policy line (stats v3): the active key's live tuning state —
-  // docs/tuning.md walks an operator through reading it.  Pre-v3 daemons
-  // report replicas == 0; skip the line rather than print zeros.
-  if (s.replicas > 0) {
-    if (!s.adaptive_enabled) {
-      std::printf("  policy       static (adaptive off)  replicas %llu  "
-                  "over-quota %llu\n",
-                  static_cast<unsigned long long>(s.replicas),
-                  static_cast<unsigned long long>(s.rejected_quota));
-    } else {
-      std::printf("  policy       window %lld us  max-batch %llu  %s  "
-                  "speedup %.2f  keys %llu\n",
-                  static_cast<long long>(s.policy_window_us),
-                  static_cast<unsigned long long>(s.policy_max_batch),
-                  s.policy_bypass ? "BYPASS" : "coalesce",
-                  s.policy_speedup,
-                  static_cast<unsigned long long>(s.policy_keys));
-      std::printf("               bypass enters %llu / exits %llu  "
-                  "replicas %llu  over-quota %llu\n",
-                  static_cast<unsigned long long>(s.bypass_enters),
-                  static_cast<unsigned long long>(s.bypass_exits),
-                  static_cast<unsigned long long>(s.replicas),
-                  static_cast<unsigned long long>(s.rejected_quota));
-    }
+  // Adaptive-policy line: the active key's live tuning state —
+  // docs/tuning.md walks an operator through reading it.
+  if (!s.adaptive_enabled) {
+    std::printf("  policy       static (adaptive off)  replicas %llu  "
+                "over-quota %llu\n",
+                static_cast<unsigned long long>(s.replicas),
+                static_cast<unsigned long long>(s.rejected_quota));
+  } else {
+    std::printf("  policy       window %lld us  max-batch %llu  %s  "
+                "speedup %.2f  keys %llu\n",
+                static_cast<long long>(s.policy_window_us),
+                static_cast<unsigned long long>(s.policy_max_batch),
+                s.policy_bypass ? "BYPASS" : "coalesce", s.policy_speedup,
+                static_cast<unsigned long long>(s.policy_keys));
+    std::printf("               bypass enters %llu / exits %llu  "
+                "replicas %llu  over-quota %llu\n",
+                static_cast<unsigned long long>(s.bypass_enters),
+                static_cast<unsigned long long>(s.bypass_exits),
+                static_cast<unsigned long long>(s.replicas),
+                static_cast<unsigned long long>(s.rejected_quota));
   }
-  // Mixed-precision line (stats v4): attempts and health-gate fallbacks.
-  if (s.stats_version >= 4 && s.mixed_runs > 0) {
+  // Mixed-precision line: attempts and health-gate fallbacks.
+  if (s.mixed_runs > 0) {
     std::printf("  precision    mixed runs %llu  fp64 fallbacks %llu "
                 "(%.1f%%)\n",
                 static_cast<unsigned long long>(s.mixed_runs),
@@ -201,7 +197,7 @@ void print_dashboard(const std::string& endpoint,
                 100.0 * static_cast<double>(s.mixed_fallbacks) /
                     static_cast<double>(s.mixed_runs));
   }
-  // Per-key policy table (stats v4), most recently dispatched first.
+  // Per-key policy table, most recently dispatched first.
   if (!s.policy_rows.empty()) {
     std::printf("\n  per-key policy (%zu tracked):\n", s.policy_rows.size());
     std::printf("    %-18s %10s %10s %9s %8s\n", "key", "window_us",
