@@ -39,8 +39,9 @@ struct Profile {
   double greens = 0.0, measure = 0.0;
 };
 
-/// FSI path: CLS+BSOFI once, wrap all-diagonals + rows + columns, then the
-/// two measurement kernels.
+/// FSI path: BlockOps from the model's closed-form B^-1 (as every Hubbard
+/// path builds them), CLS+BSOFI once, wrap all-diagonals + rows + columns,
+/// then the two measurement kernels.
 Profile fsi_profile(const qmc::HubbardModel& model, const qmc::HsField& field,
                     index_t c, bool parallel_measure) {
   Profile out;
@@ -53,7 +54,7 @@ Profile fsi_profile(const qmc::HubbardModel& model, const qmc::HsField& field,
   };
   auto compute = [&](qmc::Spin spin) {
     const pcyclic::PCyclicMatrix m = model.build_m(field, spin);
-    const pcyclic::BlockOps ops(m);
+    const pcyclic::BlockOps ops(m, model.b_inverses(field, spin));
     const auto reduced = selinv::cluster(m, c, 1, parallel_measure);
     const auto gtilde = bsofi::invert(reduced);
     return Blocks{selinv::wrap(ops, gtilde, pcyclic::Pattern::AllDiagonals, sel,

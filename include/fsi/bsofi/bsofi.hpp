@@ -37,12 +37,6 @@ class Bsofi {
   /// Full dense inverse G~ = R^-1 Q^T of size (b N) x (b N).
   Matrix inverse() const;
 
-  /// Partial inversion: block row k0 of G~ only (N x bN), in O(b N^3)
-  /// instead of the O(b^2 N^3) full inversion — the economical path when a
-  /// consumer needs a single seed row (e.g. one equal-time Green's function
-  /// block, or the diagonal-only patterns where BSOFI dominates the cost).
-  Matrix inverse_block_row(index_t k0) const;
-
   index_t block_size() const { return n_; }
   index_t num_blocks() const { return b_; }
 

@@ -21,7 +21,7 @@
 /// transports consume this renderer: write_openmetrics() (textfile-
 /// collector mode, e.g. node_exporter's textfile directory) and the
 /// embedded HTTP listener in fsi::serve (serve/metrics_http.hpp), which
-/// answers `GET /metrics` on FSI_SERVE_METRICS.
+/// answers `GET /metrics` on `fsi_serve --metrics`.
 
 #include <string>
 

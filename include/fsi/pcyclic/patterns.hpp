@@ -44,8 +44,9 @@ struct Selection {
   /// True iff \p i is a selected index.
   bool contains(dense::index_t i) const;
 
-  /// Number of selected N x N blocks for \p pattern (paper Sec. II-B table).
-  dense::index_t block_count(Pattern pattern) const;
+  /// Number of selected N x N blocks for \p pattern (paper Sec. II-B table),
+  /// in 64 bits: b * L leaves index_t's range once L passes ~46000 at c = 1.
+  std::int64_t block_count(Pattern pattern) const;
 
   /// Memory reduction factor vs storing the full L^2-block inverse
   /// (paper Sec. II-B table: cL, cL, c, c).

@@ -80,9 +80,6 @@ struct DqmcResult {
   Measurements measurements;
   DqmcTimings timings;
   double acceptance_rate = 0.0;
-  /// Largest wrap-vs-recompute drift observed (stability diagnostic);
-  /// equals stats.max_drift, kept as a field for existing callers.
-  double max_drift = 0.0;
   DqmcStats stats;
 };
 

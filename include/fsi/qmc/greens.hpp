@@ -27,7 +27,6 @@ namespace fsi::qmc {
 /// How EqualTimeGreens recomputes G from scratch at stabilisation points.
 enum class RecomputeMethod {
   QrAccumulate,  ///< clustered QR-accumulated chain product (default)
-  PartialBsofi,  ///< CLS + one block row of the BSOFI inverse (selinv path)
   Udt,           ///< fsi::stab UDT chain + scale-separated inversion — the
                  ///< large-beta path; accurate where QrAccumulate's wrap
                  ///< drift blows through the obs::health budget

@@ -279,13 +279,6 @@ FsiEmit emit_fsi_tasks(sched::TaskGraph& graph, FsiGraphTask<T>& task,
 const char* mixed_gate_verdict(const FsiGraphTask<float>& task,
                                const MixedGate& gate);
 
-/// Stable computation of the single equal-time block G(k, k) via CLS and a
-/// *partial* BSOFI (one block row of the reduced inverse, O(b N^3) instead
-/// of O(b^2 N^3)) — the economical path for one Green's function block.
-/// The offset q is chosen internally so that k is a seed index.
-dense::Matrix equal_time_block(const pcyclic::PCyclicMatrix& m, index_t k,
-                               index_t c);
-
 /// Closed-form flop counts from the paper's Sec. II-C complexity table,
 /// used by the complexity bench to compare measured vs predicted.
 struct ComplexityModel {

@@ -4,7 +4,7 @@
 ///
 /// A Prometheus (or any OpenMetrics-speaking) scraper wants `GET /metrics`
 /// over plain HTTP; the serve wire protocol is framed binary.  This
-/// listener bridges the two: a second serve::Listener (FSI_SERVE_METRICS,
+/// listener bridges the two: a second serve::Listener (fsi_serve --metrics,
 /// e.g. "tcp:127.0.0.1:9464") answered by one thread that speaks just
 /// enough HTTP/1.1 for scrapers and curl —
 ///

@@ -38,7 +38,7 @@ inline constexpr std::uint32_t kFrameMagic = 0x56525346;  // "FSRV" LE
 /// The wire schema: decode_payload accepts exactly this version and every
 /// encoder stamps it.  There is no negotiation; the number changes whenever
 /// a body layout changes, so a mismatched peer is rejected on the header.
-inline constexpr std::uint32_t kSchemaVersion = 4;
+inline constexpr std::uint32_t kSchemaVersion = 5;
 /// Upper bound on one frame's payload; a declared length beyond this is
 /// treated as a malformed stream (protects the server from a hostile or
 /// corrupt length prefix).  64 MiB fits fields for N*L ~ 8M sites-slices.
@@ -95,8 +95,6 @@ struct InvertResponse {
   std::uint32_t retry_after_ms = 0;   ///< RetryAfter: suggested backoff
   std::int32_t q_used = 0;            ///< the wrap offset actually used
   bool deadline_exceeded = false;     ///< Ok result that finished past deadline
-  std::uint64_t queue_wait_us = 0;    ///< arrival -> batch dispatch
-  std::uint64_t execute_us = 0;       ///< engine time of the carrying batch
   std::uint32_t batch_size = 0;       ///< occupancy of the carrying batch
   std::uint32_t l = 0;                ///< Measurements dimensions (Ok only)
   std::uint32_t dmax = 0;

@@ -47,9 +47,8 @@ using Engine = std::function<std::vector<qmc::Measurements>(
     const qmc::HubbardModel&, const std::vector<qmc::FsiBatchTask>&,
     const qmc::FsiBatchOptions&)>;
 
-/// Server configuration.  Every knob has an FSI_SERVE_* environment
-/// override (documented in docs/parallelism.md); from_env() applies them
-/// on top of the defaults.
+/// Server configuration.  The fsi_serve tool sets these from its flags
+/// (docs/serving.md); the Server constructor rejects out-of-range values.
 struct ServerOptions {
   Endpoint endpoint = Endpoint{true, "fsi_serve.sock", "", 0};
   std::size_t queue_depth = 64;       ///< admission-queue bound
@@ -81,13 +80,6 @@ struct ServerOptions {
   bool reuse_port = false;
   qmc::FsiBatchOptions batch;         ///< executor knobs of the engine runs
   Engine engine;                      ///< null = qmc::run_fsi_batch
-
-  /// Defaults overridden by FSI_SERVE_SOCKET, FSI_SERVE_QUEUE,
-  /// FSI_SERVE_BATCH_WINDOW_US, FSI_SERVE_MAX_BATCH,
-  /// FSI_SERVE_RETRY_AFTER_MS, FSI_SERVE_DEADLINE_MS, FSI_SERVE_WORKERS,
-  /// FSI_SERVE_LOG, FSI_SERVE_METRICS, FSI_SERVE_ADAPTIVE,
-  /// FSI_SERVE_CLIENT_QUOTA, FSI_SERVE_REPLICAS.
-  static ServerOptions from_env();
 };
 
 /// Lifetime aggregate counters of one Server (monotonic; also mirrored
@@ -123,6 +115,8 @@ struct ServerStats {
 /// ShuttingDown, and joins.
 class Server {
  public:
+  /// Throws util::CheckError unless queue_depth, max_batch and replicas
+  /// are >= 1 and batch_window_us and default_deadline_ms are >= 0.
   explicit Server(ServerOptions options);
   ~Server();
   Server(const Server&) = delete;

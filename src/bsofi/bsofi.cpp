@@ -154,45 +154,6 @@ Matrix Bsofi::inverse() const {
   return g;
 }
 
-Matrix Bsofi::inverse_block_row(index_t k0) const {
-  FSI_OBS_SPAN("bsofi.block_row");
-  FSI_CHECK(k0 >= 0 && k0 < b_, "inverse_block_row: row index out of range");
-  const index_t n = n_, b = b_;
-  const index_t dim = n * b;
-  // Row k0 of X = R^-1 from X R = I, solved left-to-right:
-  //   X_{k0,j} R_jj = delta_{k0,j} I - X_{k0,j-1} R_{j-1,j}
-  //                   - [j == b-1] sum_{p <= b-3} X_{k0,p} R_{p,b-1}.
-  Matrix row(n, dim);
-  {
-    MatrixView xkk = row.block(0, k0 * n, n, n);
-    dense::set_identity(xkk);
-    dense::trsm(Side::Right, dense::Uplo::Upper, Trans::No, dense::Diag::NonUnit,
-                1.0, panels_[static_cast<std::size_t>(k0)].block(0, 0, n, n),
-                xkk);
-  }
-  for (index_t j = k0 + 1; j < b; ++j) {
-    MatrixView xj = row.block(0, j * n, n, n);
-    dense::gemm(Trans::No, Trans::No, -1.0, row.block(0, (j - 1) * n, n, n),
-                rsup_[static_cast<std::size_t>(j - 1)], 0.0, xj);
-    if (j == b - 1) {
-      for (index_t p = k0; p + 2 < b; ++p)
-        dense::gemm(Trans::No, Trans::No, -1.0, row.block(0, p * n, n, n),
-                    rlast_[static_cast<std::size_t>(p)], 1.0, xj);
-    }
-    dense::trsm(Side::Right, dense::Uplo::Upper, Trans::No, dense::Diag::NonUnit,
-                1.0, panels_[static_cast<std::size_t>(j)].block(0, 0, n, n), xj);
-  }
-
-  // Right-apply Q^T = Q_{b-1}^T ... Q_0^T, each touching columns (i, i+1).
-  for (index_t i = b - 1; i >= 0; --i) {
-    const index_t width = (i + 1 < b) ? 2 * n : n;
-    dense::ormqr(Side::Right, Trans::Yes, panels_[static_cast<std::size_t>(i)],
-                 taus_[static_cast<std::size_t>(i)],
-                 row.block(0, i * n, n, width));
-  }
-  return row;
-}
-
 Matrix invert(const pcyclic::PCyclicMatrix& m) {
   Matrix g = Bsofi(m).inverse();  // the factorisation dies here
   if (obs::health::enabled()) {

@@ -660,24 +660,6 @@ std::vector<SelectedInversion> fsi_multi(const PCyclicMatrix& m,
   return out;
 }
 
-dense::Matrix equal_time_block(const PCyclicMatrix& m, index_t k, index_t c) {
-  FSI_OBS_SPAN("fsi.equal_time_block");
-  const index_t l = m.num_blocks();
-  FSI_CHECK(k >= 0 && k < l, "equal_time_block: block index out of range");
-  FSI_CHECK(c > 0 && l % c == 0, "equal_time_block: c must divide L");
-  // Choose q so that k is a selected (seed) index: (k + q + 1) % c == 0.
-  const index_t q = m.wrap(-(k + 1)) % c;
-  Selection sel(l, c, q);
-  FSI_ASSERT(sel.contains(k));
-  // Seed position of k among the selected indices.
-  const index_t k0 = (k + q + 1) / c - 1;
-
-  const bsofi::Bsofi factor(cluster(m, c, q));
-  const dense::Matrix row = factor.inverse_block_row(k0);
-  const index_t n = m.block_size();
-  return dense::Matrix::copy_of(row.block(0, k0 * n, n, n));
-}
-
 double ComplexityModel::cls_flops() const {
   const double n3 = static_cast<double>(n_block) * n_block * n_block;
   return 2.0 * b() * (static_cast<double>(c) - 1.0) * n3;

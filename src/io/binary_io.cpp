@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "fsi/util/check.hpp"
@@ -68,21 +69,56 @@ void read_header(std::FILE* f, Tag expected) {
             "binary_io: record type mismatch");
 }
 
+/// Exclusive upper bound on every stored dimension: well inside index_t,
+/// and far above any block size or slice count the library runs.
+constexpr std::int64_t kMaxDim = std::int64_t{1} << 24;
+
+/// Read one dimension field, rejected unless it lies in [lo, kMaxDim).
+dense::index_t read_dim(std::FILE* f, std::int64_t lo, const char* what) {
+  const std::int64_t v = read_i64(f);
+  FSI_CHECK(v >= lo && v < kMaxDim, std::string("binary_io: implausible ") +
+                                        what + " " + std::to_string(v));
+  return static_cast<dense::index_t>(v);
+}
+
+/// Throw unless the rest of the file holds \p count records of \p bytes
+/// each — checked before the loader allocates anything for them, and by
+/// division, so that no product of claimed sizes can overflow.
+void require_bytes(std::FILE* f, std::uint64_t count, std::uint64_t bytes) {
+  const long pos = std::ftell(f);
+  FSI_CHECK(pos >= 0 && std::fseek(f, 0, SEEK_END) == 0,
+            "binary_io: cannot seek");
+  const long end = std::ftell(f);
+  FSI_CHECK(end >= pos && std::fseek(f, pos, SEEK_SET) == 0,
+            "binary_io: cannot seek");
+  FSI_CHECK(bytes == 0 || count <= static_cast<std::uint64_t>(end - pos) / bytes,
+            "binary_io: header claims more data than the file holds "
+            "(truncated or corrupt file)");
+}
+
+/// Bytes of one stored n x n matrix: two i64 dimensions and the doubles.
+std::uint64_t square_payload_bytes(dense::index_t n) {
+  const auto un = static_cast<std::uint64_t>(n);
+  return 2 * sizeof(std::int64_t) + sizeof(double) * un * un;
+}
+
 void write_matrix_payload(std::FILE* f, dense::ConstMatrixView m) {
   write_i64(f, m.rows());
   write_i64(f, m.cols());
-  for (dense::index_t j = 0; j < m.cols(); ++j)
+  for (dense::index_t j = 0; j < m.cols() && m.rows() > 0; ++j)
     write_bytes(f, m.col(j), sizeof(double) * static_cast<std::size_t>(m.rows()));
 }
 
 dense::Matrix read_matrix_payload(std::FILE* f) {
-  const auto rows = static_cast<dense::index_t>(read_i64(f));
-  const auto cols = static_cast<dense::index_t>(read_i64(f));
-  FSI_CHECK(rows >= 0 && cols >= 0 && rows < (1 << 24) && cols < (1 << 24),
-            "binary_io: implausible matrix dimensions");
+  const dense::index_t rows = read_dim(f, 0, "matrix rows");
+  const dense::index_t cols = read_dim(f, 0, "matrix cols");
+  require_bytes(f, static_cast<std::uint64_t>(rows) * cols, sizeof(double));
   dense::Matrix m(rows, cols);
-  for (dense::index_t j = 0; j < cols; ++j)
-    read_bytes(f, m.view().col(j), sizeof(double) * static_cast<std::size_t>(rows));
+  // Column-major with ld == rows: the payload is one contiguous read.  An
+  // empty matrix (rows or cols 0) owns no storage to read into.
+  if (!m.empty())
+    read_bytes(f, m.data(),
+               sizeof(double) * static_cast<std::size_t>(rows) * cols);
   return m;
 }
 
@@ -112,16 +148,17 @@ void save_pcyclic(const std::string& path, const pcyclic::PCyclicMatrix& m) {
 pcyclic::PCyclicMatrix load_pcyclic(const std::string& path) {
   File file(path, "rb");
   read_header(file.f, Tag::PCyclic);
-  const auto n = static_cast<dense::index_t>(read_i64(file.f));
-  const auto l = static_cast<dense::index_t>(read_i64(file.f));
-  pcyclic::PCyclicMatrix m(n, l);
+  const dense::index_t n = read_dim(file.f, 1, "block size");
+  const dense::index_t l = read_dim(file.f, 1, "block count");
+  require_bytes(file.f, static_cast<std::uint64_t>(l), square_payload_bytes(n));
+  std::vector<dense::Matrix> blocks;
+  blocks.reserve(static_cast<std::size_t>(l));
   for (dense::index_t i = 0; i < l; ++i) {
-    dense::Matrix b = read_matrix_payload(file.f);
-    FSI_CHECK(b.rows() == n && b.cols() == n,
+    blocks.push_back(read_matrix_payload(file.f));
+    FSI_CHECK(blocks.back().rows() == n && blocks.back().cols() == n,
               "binary_io: p-cyclic block dimension mismatch");
-    m.b_matrix(i) = std::move(b);
   }
-  return m;
+  return pcyclic::PCyclicMatrix(std::move(blocks));
 }
 
 void save_field(const std::string& path, const qmc::HsField& field) {
@@ -136,9 +173,9 @@ void save_field(const std::string& path, const qmc::HsField& field) {
 qmc::HsField load_field(const std::string& path) {
   File file(path, "rb");
   read_header(file.f, Tag::HsField);
-  const auto l = static_cast<dense::index_t>(read_i64(file.f));
-  const auto n = static_cast<dense::index_t>(read_i64(file.f));
-  FSI_CHECK(l > 0 && n > 0, "binary_io: implausible field dimensions");
+  const dense::index_t l = read_dim(file.f, 1, "field slices");
+  const dense::index_t n = read_dim(file.f, 1, "field sites");
+  require_bytes(file.f, static_cast<std::uint64_t>(l) * n, sizeof(double));
   std::vector<double> buf(static_cast<std::size_t>(l) * n);
   read_bytes(file.f, buf.data(), sizeof(double) * buf.size());
   return qmc::HsField::deserialize(l, n, buf.data(), buf.size());
@@ -157,11 +194,12 @@ void save_measurements(const std::string& path, const qmc::Measurements& m) {
 qmc::Measurements load_measurements(const std::string& path) {
   File file(path, "rb");
   read_header(file.f, Tag::Measurements);
-  const auto l = static_cast<dense::index_t>(read_i64(file.f));
-  const auto dmax = static_cast<dense::index_t>(read_i64(file.f));
-  const auto len = static_cast<std::size_t>(read_i64(file.f));
+  const dense::index_t l = read_dim(file.f, 1, "measurement slices");
+  const dense::index_t dmax = read_dim(file.f, 1, "distance classes");
+  const auto len = static_cast<std::uint64_t>(read_i64(file.f));
   FSI_CHECK(len == qmc::Measurements::serialized_size(l, dmax),
             "binary_io: measurement payload size mismatch");
+  require_bytes(file.f, len, sizeof(double));
   std::vector<double> buf(len);
   read_bytes(file.f, buf.data(), sizeof(double) * len);
   return qmc::Measurements::deserialize(l, dmax, buf);
@@ -187,11 +225,14 @@ pcyclic::SelectedInversion load_selected_inversion(const std::string& path) {
   FSI_CHECK(pattern >= pcyclic::Pattern::Diagonal &&
                 pattern <= pcyclic::Pattern::AllDiagonals,
             "binary_io: unknown selection pattern");
-  const auto n = static_cast<dense::index_t>(read_i64(file.f));
-  const auto l = static_cast<dense::index_t>(read_i64(file.f));
-  const auto c = static_cast<dense::index_t>(read_i64(file.f));
-  const auto q = static_cast<dense::index_t>(read_i64(file.f));
-  pcyclic::SelectedInversion s(pattern, n, pcyclic::Selection(l, c, q));
+  const dense::index_t n = read_dim(file.f, 1, "block size");
+  const dense::index_t l = read_dim(file.f, 1, "block count");
+  const dense::index_t c = read_dim(file.f, 1, "cluster size");
+  const dense::index_t q = read_dim(file.f, 0, "wrap offset");
+  const pcyclic::Selection sel(l, c, q);
+  require_bytes(file.f, static_cast<std::uint64_t>(sel.block_count(pattern)),
+                square_payload_bytes(n));
+  pcyclic::SelectedInversion s(pattern, n, sel);
   for (const auto& [k, col] : s.keys()) {
     dense::Matrix block = read_matrix_payload(file.f);
     FSI_CHECK(block.rows() == n && block.cols() == n,

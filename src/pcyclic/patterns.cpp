@@ -35,7 +35,7 @@ bool Selection::contains(index_t i) const {
   return i >= 0 && i < l_total && (i + q + 1) % c == 0;
 }
 
-index_t Selection::block_count(Pattern pattern) const {
+std::int64_t Selection::block_count(Pattern pattern) const {
   switch (pattern) {
     case Pattern::Diagonal:
       return b();
@@ -45,7 +45,7 @@ index_t Selection::block_count(Pattern pattern) const {
       return (q == 0) ? b() - 1 : b();
     case Pattern::Columns:
     case Pattern::Rows:
-      return b() * l_total;
+      return std::int64_t{b()} * l_total;
     case Pattern::AllDiagonals:
       return l_total;
   }

@@ -127,8 +127,7 @@ DqmcResult run_dqmc(const HubbardModel& model, const DqmcOptions& options) {
                        options.delay_depth, options.recompute);
 
   DqmcResult result{
-      Measurements(l, model.lattice().num_distance_classes()), {}, 0.0, 0.0,
-      {}};
+      Measurements(l, model.lattice().num_distance_classes()), {}, 0.0, {}};
   double sign = 1.0;
   index_t accepted = 0, attempted = 0;
 
@@ -189,7 +188,6 @@ DqmcResult run_dqmc(const HubbardModel& model, const DqmcOptions& options) {
   result.stats.recomputes = g_up.recomputes() + g_dn.recomputes();
   result.stats.last_drift = std::max(g_up.last_drift(), g_dn.last_drift());
   result.stats.max_drift = std::max(g_up.max_drift(), g_dn.max_drift());
-  result.max_drift = result.stats.max_drift;
   return result;
 }
 

@@ -14,7 +14,6 @@
 #include "fsi/obs/health.hpp"
 #include "fsi/obs/metrics.hpp"
 #include "fsi/obs/trace.hpp"
-#include "fsi/selinv/fsi.hpp"
 #include "fsi/stab/chain.hpp"
 #include "fsi/util/timer.hpp"
 
@@ -236,16 +235,10 @@ void EqualTimeGreens::recompute() {
   util::WallTimer timer;
   const index_t l = field_.num_slices();
   const index_t prev = (slice_ - 1 + l) % l;
-  if (method_ == RecomputeMethod::Udt) {
-    g_ = stabilized_equal_time_greens(model_, field_, spin_, prev,
-                                      cluster_size_);
-  } else if (method_ == RecomputeMethod::QrAccumulate ||
-             l % cluster_size_ != 0 /* partial BSOFI needs c | L */) {
-    g_ = equal_time_greens(model_, field_, spin_, prev, cluster_size_);
-  } else {
-    const pcyclic::PCyclicMatrix m = model_.build_m(field_, spin_);
-    g_ = selinv::equal_time_block(m, prev, cluster_size_);
-  }
+  g_ = method_ == RecomputeMethod::Udt
+           ? stabilized_equal_time_greens(model_, field_, spin_, prev,
+                                          cluster_size_)
+           : equal_time_greens(model_, field_, spin_, prev, cluster_size_);
   wraps_since_recompute_ = 0;
   ++recomputes_;
   obs::metrics::add(obs::metrics::Counter::GreensRecomputes, 1);

@@ -81,8 +81,6 @@ std::vector<std::uint8_t> encode_response(const InvertResponse& r) {
   w.put_u32(r.retry_after_ms);
   w.put_i32(r.q_used);
   w.put_u8(r.deadline_exceeded ? 1 : 0);
-  w.put_u64(r.queue_wait_us);
-  w.put_u64(r.execute_us);
   w.put_u32(r.batch_size);
   w.put_u32(r.l);
   w.put_u32(r.dmax);
@@ -194,8 +192,6 @@ Decoded decode_payload(const std::uint8_t* data, std::size_t size) {
     p.retry_after_ms = r.get_u32();
     p.q_used = r.get_i32();
     p.deadline_exceeded = r.get_u8() != 0;
-    p.queue_wait_us = r.get_u64();
-    p.execute_us = r.get_u64();
     p.batch_size = r.get_u32();
     p.l = r.get_u32();
     p.dmax = r.get_u32();

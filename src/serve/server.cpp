@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -14,7 +13,6 @@
 #include <utility>
 
 #include "fsi/obs/build.hpp"
-#include "fsi/obs/env.hpp"
 #include "fsi/obs/log.hpp"
 #include "fsi/obs/metrics.hpp"
 #include "fsi/obs/trace.hpp"
@@ -22,41 +20,6 @@
 #include "fsi/util/check.hpp"
 
 namespace fsi::serve {
-
-ServerOptions ServerOptions::from_env() {
-  ServerOptions o;
-  const char* sock = std::getenv("FSI_SERVE_SOCKET");
-  if (sock != nullptr && sock[0] != '\0') o.endpoint = Endpoint::parse(sock);
-  o.queue_depth = static_cast<std::size_t>(std::max(
-      1L, obs::env_long("FSI_SERVE_QUEUE",
-                        static_cast<long>(o.queue_depth))));
-  o.batch_window_us =
-      std::max(0L, obs::env_long("FSI_SERVE_BATCH_WINDOW_US",
-                                 static_cast<long>(o.batch_window_us)));
-  o.max_batch = static_cast<std::size_t>(std::max(
-      1L, obs::env_long("FSI_SERVE_MAX_BATCH",
-                        static_cast<long>(o.max_batch))));
-  o.retry_after_ms = static_cast<std::uint32_t>(std::max(
-      0L, obs::env_long("FSI_SERVE_RETRY_AFTER_MS",
-                        static_cast<long>(o.retry_after_ms))));
-  o.default_deadline_ms =
-      std::max(0L, obs::env_long("FSI_SERVE_DEADLINE_MS",
-                                 static_cast<long>(o.default_deadline_ms)));
-  o.batch.num_workers = static_cast<int>(
-      obs::env_long("FSI_SERVE_WORKERS", o.batch.num_workers));
-  const char* log = std::getenv("FSI_SERVE_LOG");
-  if (log != nullptr && log[0] != '\0') o.access_log = log;
-  const char* metrics = std::getenv("FSI_SERVE_METRICS");
-  if (metrics != nullptr && metrics[0] != '\0') o.metrics_endpoint = metrics;
-  o.adaptive.enabled = obs::env_flag("FSI_SERVE_ADAPTIVE", o.adaptive.enabled);
-  o.client_quota = static_cast<std::size_t>(std::max(
-      0L, obs::env_long("FSI_SERVE_CLIENT_QUOTA",
-                        static_cast<long>(o.client_quota))));
-  o.replicas = static_cast<std::size_t>(std::max(
-      1L, obs::env_long("FSI_SERVE_REPLICAS",
-                        static_cast<long>(o.replicas))));
-  return o;
-}
 
 namespace {
 
@@ -72,6 +35,24 @@ struct Conn {
   /// keys on it.
   std::uint64_t id = 0;
 };
+
+/// Reject settings the queue, batcher and deadline arithmetic cannot run
+/// with, naming the field and the value.
+ServerOptions checked(ServerOptions o) {
+  FSI_CHECK(o.queue_depth >= 1, "serve: queue_depth must be >= 1, got " +
+                                    std::to_string(o.queue_depth));
+  FSI_CHECK(o.max_batch >= 1, "serve: max_batch must be >= 1, got " +
+                                  std::to_string(o.max_batch));
+  FSI_CHECK(o.batch_window_us >= 0,
+            "serve: batch_window_us must be >= 0, got " +
+                std::to_string(o.batch_window_us));
+  FSI_CHECK(o.default_deadline_ms >= 0,
+            "serve: default_deadline_ms must be >= 0, got " +
+                std::to_string(o.default_deadline_ms));
+  FSI_CHECK(o.replicas >= 1, "serve: replicas must be >= 1, got " +
+                                 std::to_string(o.replicas));
+  return o;
+}
 
 /// Resolve the policy's zero ceilings from the server's static knobs: the
 /// adaptive controller tunes *within* the configured window / max batch,
@@ -445,8 +426,6 @@ void Server::Impl::run_batch(std::vector<PendingRequest>&& batch) {
       r.id = p.request.id;
       r.trace_id = p.request.trace_id;
       r.status = Status::DeadlineMiss;
-      r.queue_wait_us =
-          static_cast<std::uint64_t>((dispatch_ns - p.arrival_ns) / 1000);
       r.queue_wait_ns = static_cast<std::uint64_t>(
           (p.popped_ns > 0 ? p.popped_ns : dispatch_ns) - p.arrival_ns);
       r.message = "deadline expired while queued";
@@ -520,12 +499,9 @@ void Server::Impl::run_batch(std::vector<PendingRequest>&& batch) {
   }
   const std::int64_t exec_t1 = obs::now_ns();
   obs::set_active_trace(0);
-  const auto execute_us =
-      static_cast<std::uint64_t>((exec_t1 - exec_t0) / 1000);
   const auto exec_ns = static_cast<std::uint64_t>(exec_t1 - exec_t0);
-  const double occupancy =
-      static_cast<double>(live.size()) /
-      static_cast<double>(std::max<std::size_t>(1, opts.max_batch));
+  const double occupancy = static_cast<double>(live.size()) /
+                           static_cast<double>(opts.max_batch);
 
   {
     std::lock_guard<std::mutex> lock(stats_mu);
@@ -564,9 +540,6 @@ void Server::Impl::run_batch(std::vector<PendingRequest>&& batch) {
     r.id = p.request.id;
     r.trace_id = p.request.trace_id;
     r.q_used = static_cast<std::int32_t>(p.q);
-    r.queue_wait_us =
-        static_cast<std::uint64_t>((dispatch_ns - p.arrival_ns) / 1000);
-    r.execute_us = execute_us;
     r.batch_size = static_cast<std::uint32_t>(live.size());
     r.queue_wait_ns = static_cast<std::uint64_t>(popped_ns - p.arrival_ns);
     r.batch_wait_ns = static_cast<std::uint64_t>(exec_t0 - popped_ns);
@@ -700,7 +673,7 @@ void Server::Impl::batcher_loop() {
 }
 
 Server::Server(ServerOptions options)
-    : impl_(std::make_unique<Impl>(std::move(options))) {}
+    : impl_(std::make_unique<Impl>(checked(std::move(options)))) {}
 
 Server::~Server() { stop(); }
 

@@ -110,33 +110,6 @@ TEST(Bsofi, StableOnIllConditionedChains) {
   expect_close(prod, Matrix::identity(m.dim()), 1e-8, "stability");
 }
 
-TEST(Bsofi, PartialBlockRowMatchesFullInverse) {
-  util::Rng rng(307);
-  for (auto [n, b] : {std::make_pair(index_t{3}, index_t{1}),
-                      std::make_pair(index_t{4}, index_t{2}),
-                      std::make_pair(index_t{5}, index_t{6}),
-                      std::make_pair(index_t{16}, index_t{9})}) {
-    pcyclic::PCyclicMatrix m = pcyclic::PCyclicMatrix::random(n, b, rng);
-    Bsofi f(m);
-    Matrix full = f.inverse();
-    for (index_t k0 = 0; k0 < b; ++k0) {
-      Matrix row = f.inverse_block_row(k0);
-      ASSERT_EQ(row.rows(), n);
-      ASSERT_EQ(row.cols(), n * b);
-      expect_close(row, Matrix::copy_of(full.block(k0 * n, 0, n, n * b)),
-                   1e-10, "partial block row");
-    }
-  }
-}
-
-TEST(Bsofi, PartialBlockRowBounds) {
-  util::Rng rng(308);
-  pcyclic::PCyclicMatrix m = pcyclic::PCyclicMatrix::random(3, 4, rng);
-  Bsofi f(m);
-  EXPECT_THROW(f.inverse_block_row(4), util::CheckError);
-  EXPECT_THROW(f.inverse_block_row(-1), util::CheckError);
-}
-
 TEST(Bsofi, AccessorBoundsChecked) {
   util::Rng rng(306);
   pcyclic::PCyclicMatrix m = pcyclic::PCyclicMatrix::random(3, 4, rng);

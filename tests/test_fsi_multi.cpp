@@ -1,5 +1,4 @@
-/// Tests for the multi-pattern FSI driver and the partial-BSOFI
-/// equal-time-block helper.
+/// Tests for the multi-pattern FSI driver.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +6,6 @@
 
 #include "fsi/dense/norms.hpp"
 #include "fsi/obs/metrics.hpp"
-#include "fsi/pcyclic/explicit_inverse.hpp"
 #include "fsi/selinv/fsi.hpp"
 #include "testing.hpp"
 
@@ -183,28 +181,6 @@ TEST(FsiMulti, EmptyPatternListThrows) {
   selinv::FsiOptions opts;
   opts.c = 2;
   EXPECT_THROW(selinv::fsi_multi(m, ops, {}, opts, rng), util::CheckError);
-}
-
-TEST(EqualTimeBlock, MatchesDenseInverseForEveryKAndC) {
-  util::Rng rng(94);
-  const index_t n = 4, l = 12;
-  PCyclicMatrix m = PCyclicMatrix::random(n, l, rng);
-  Matrix g = pcyclic::full_inverse_dense(m);
-  for (index_t c : {index_t{2}, index_t{3}, index_t{4}, index_t{6}}) {
-    for (index_t k = 0; k < l; ++k) {
-      Matrix blk = selinv::equal_time_block(m, k, c);
-      expect_close(blk, pcyclic::dense_block(g, n, k, k), 1e-9,
-                   ("k=" + std::to_string(k) + " c=" + std::to_string(c))
-                       .c_str());
-    }
-  }
-}
-
-TEST(EqualTimeBlock, InvalidArgumentsThrow) {
-  util::Rng rng(95);
-  PCyclicMatrix m = PCyclicMatrix::random(3, 8, rng);
-  EXPECT_THROW(selinv::equal_time_block(m, 8, 2), util::CheckError);
-  EXPECT_THROW(selinv::equal_time_block(m, 0, 3), util::CheckError);  // 3 ∤ 8
 }
 
 }  // namespace

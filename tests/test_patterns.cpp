@@ -50,6 +50,9 @@ TEST(Selection, BlockCountsMatchPaperTable) {
   EXPECT_EQ(q3.block_count(Pattern::SubDiagonal), 10);  // q != 0: b
   EXPECT_EQ(q0.block_count(Pattern::Columns), 1000);
   EXPECT_EQ(q0.block_count(Pattern::Rows), 1000);
+  // b * L past index_t's range (a checkpoint header may claim it).
+  EXPECT_EQ(Selection(65536, 1, 0).block_count(Pattern::Columns),
+            std::int64_t{1} << 32);
 }
 
 TEST(Selection, ReductionFactorsMatchPaperTable) {

@@ -119,32 +119,3 @@ TEST(DelayedUpdates, InvalidDepthRejected) {
 }
 
 }  // namespace
-
-namespace {
-
-TEST(RecomputeMethods, QrAccumulateAndPartialBsofiAgree) {
-  using namespace fsi;
-  using namespace fsi::qmc;
-  HubbardParams p;
-  p.u = 3.0;
-  p.beta = 2.0;
-  p.l = 12;
-  HubbardModel model(Lattice::chain(5), p);
-  util::Rng rng(931);
-  HsField h(12, 5, rng);
-  for (Spin spin : {Spin::Up, Spin::Down}) {
-    EqualTimeGreens qr(model, h, spin, 4, 8, 0, RecomputeMethod::QrAccumulate);
-    EqualTimeGreens pb(model, h, spin, 4, 8, 0, RecomputeMethod::PartialBsofi);
-    fsi::testing::expect_close(pb.g(), qr.g(), 1e-10, "recompute methods");
-    // And after wrapping to a few other slices.
-    for (int s = 0; s < 5; ++s) {
-      qr.advance();
-      pb.advance();
-    }
-    qr.recompute();
-    pb.recompute();
-    fsi::testing::expect_close(pb.g(), qr.g(), 1e-9, "after advance");
-  }
-}
-
-}  // namespace

@@ -57,7 +57,7 @@ TEST(Dqmc, RunsAndProducesSaneObservables) {
   // Local moment between uncorrelated (0.5) and fully localised (1.0).
   EXPECT_GT(r.measurements.local_moment(), 0.4);
   EXPECT_LT(r.measurements.local_moment(), 1.0);
-  EXPECT_LT(r.max_drift, 1e-6);
+  EXPECT_LT(r.stats.max_drift, 1e-6);
   EXPECT_GT(r.timings.total_seconds, 0.0);
 }
 

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <limits>
 #include <mutex>
@@ -97,8 +98,9 @@ TEST(ServeProtocol, ResponseRoundTrip) {
   r.retry_after_ms = 25;
   r.q_used = 3;
   r.deadline_exceeded = true;
-  r.queue_wait_us = 100;
-  r.execute_us = 200;
+  r.queue_wait_ns = 100000;
+  r.batch_wait_ns = 150000;
+  r.exec_ns = 200000;
   r.batch_size = 4;
   r.l = 8;
   r.dmax = 2;
@@ -112,8 +114,9 @@ TEST(ServeProtocol, ResponseRoundTrip) {
   EXPECT_EQ(d.response.retry_after_ms, 25u);
   EXPECT_EQ(d.response.q_used, 3);
   EXPECT_TRUE(d.response.deadline_exceeded);
-  EXPECT_EQ(d.response.queue_wait_us, 100u);
-  EXPECT_EQ(d.response.execute_us, 200u);
+  EXPECT_EQ(d.response.queue_wait_ns, 100000u);
+  EXPECT_EQ(d.response.batch_wait_ns, 150000u);
+  EXPECT_EQ(d.response.exec_ns, 200000u);
   EXPECT_EQ(d.response.batch_size, 4u);
   EXPECT_EQ(d.response.l, 8u);
   EXPECT_EQ(d.response.dmax, 2u);
@@ -316,7 +319,7 @@ TEST(ServeProtocol, OtherSchemaVersionsThrowCheckError) {
   const std::vector<std::vector<std::uint8_t>> payloads = {
       encode_request(tiny_request()), encode_response(InvertResponse{}),
       encode_stats_request(1), encode_stats_response(StatsResponse{})};
-  for (const std::uint32_t version : {0u, 1u, 2u, 3u, kSchemaVersion + 1}) {
+  for (const std::uint32_t version : {0u, 1u, 2u, 3u, 4u, kSchemaVersion + 1}) {
     for (std::vector<std::uint8_t> payload : payloads) {
       std::memcpy(payload.data(), &version, sizeof version);
       try {
@@ -793,6 +796,24 @@ ServerOptions stub_options(const std::string& socket_spec, GateEngine& gate) {
   return o;
 }
 
+TEST(ServeServer, OutOfRangeOptionsThrowCheckError) {
+  // Every caller's settings pass through the constructor's range check;
+  // nothing is bound, so no socket is needed.
+  GateEngine gate;
+  const std::vector<std::function<void(ServerOptions&)>> out_of_range = {
+      [](ServerOptions& o) { o.queue_depth = 0; },
+      [](ServerOptions& o) { o.max_batch = 0; },
+      [](ServerOptions& o) { o.batch_window_us = -1; },
+      [](ServerOptions& o) { o.default_deadline_ms = -1; },
+      [](ServerOptions& o) { o.replicas = 0; },
+  };
+  for (std::size_t i = 0; i < out_of_range.size(); ++i) {
+    ServerOptions o = stub_options(test_socket_path("bad_options"), gate);
+    out_of_range[i](o);
+    EXPECT_THROW(Server{std::move(o)}, util::CheckError) << "setting " << i;
+  }
+}
+
 TEST(ServeServer, StubRoundTripOverUnixSocket) {
   GateEngine gate;
   Server server(stub_options(test_socket_path("roundtrip"), gate));
@@ -910,7 +931,7 @@ TEST(ServeServer, DeadlineExpiresWhileQueued) {
   EXPECT_EQ(f0.get().status, Status::Ok);
   const InvertResponse r1 = f1.get();
   EXPECT_EQ(r1.status, Status::DeadlineMiss);
-  EXPECT_GE(r1.queue_wait_us, 1000u);
+  EXPECT_GE(r1.queue_wait_ns, 1000000u);
 
   server.stop();
   EXPECT_EQ(gate.calls.load(), 1);  // the expired request never executed
@@ -951,12 +972,12 @@ TEST(ServeServer, WrongSchemaAnsweredMalformed) {
   Server server(stub_options(test_socket_path("schema"), gate));
   server.start();
 
-  // 99 is from no build; 3 is what clients built before schema 4 send.
+  // 99 is from no build; 4 is what clients built before schema 5 send.
   // Each is answered Malformed naming the schema, and the connection
   // survives to serve a current request.
   Socket raw = connect_to(server.endpoint());
   FrameParser parser;
-  for (const std::uint32_t bad_version : {99u, 3u}) {
+  for (const std::uint32_t bad_version : {99u, 4u}) {
     auto payload = encode_request(tiny_request());
     std::memcpy(payload.data(), &bad_version, sizeof bad_version);
     std::vector<std::uint8_t> frame;
@@ -1181,13 +1202,16 @@ TEST(ServeServer, ResponseEchoesTraceIdAndBreakdown) {
 
   InvertRequest req = tiny_request();
   req.trace_id = 0xABCDEF;
+  const std::int64_t t0 = obs::now_ns();
   const InvertResponse r = client.request(std::move(req));
+  const auto round_trip_ns = static_cast<std::uint64_t>(obs::now_ns() - t0);
   ASSERT_EQ(r.status, Status::Ok);
   EXPECT_EQ(r.trace_id, 0xABCDEFu);
-  // The ns breakdown is filled server-side and consistent with the legacy
-  // microsecond fields: queue+batch covers arrival -> engine start.
+  // The ns breakdown is filled server-side, and its three legs (arrival ->
+  // gathered -> engine start -> engine end) fit inside the client's round
+  // trip.
   EXPECT_GT(r.exec_ns, 0u);
-  EXPECT_GE((r.queue_wait_ns + r.batch_wait_ns) / 1000, r.queue_wait_us);
+  EXPECT_LE(r.queue_wait_ns + r.batch_wait_ns + r.exec_ns, round_trip_ns);
   EXPECT_DOUBLE_EQ(r.batch_occupancy, 0.25);  // 1 request / max_batch 4
   server.stop();
 }

@@ -151,12 +151,9 @@ int main(int argc, char** argv) {
         continue;
       }
       if (resp.status == serve::Status::Ok) {
-        std::printf("fsi_request: request %d ok: batch %u, queue wait %llu us, "
-                    "execute %llu us, %zu measurement doubles\n",
-                    i, resp.batch_size,
-                    static_cast<unsigned long long>(resp.queue_wait_us),
-                    static_cast<unsigned long long>(resp.execute_us),
-                    resp.measurements.size());
+        std::printf("fsi_request: request %d ok: batch %u, %zu measurement "
+                    "doubles\n",
+                    i, resp.batch_size, resp.measurements.size());
         std::printf(
             "fsi_request: request %d breakdown: trace %llx, queue "
             "%.3f ms, batch wait %.3f ms, exec %.3f ms, occupancy %.2f\n",

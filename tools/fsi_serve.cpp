@@ -10,10 +10,11 @@
 ///             [--metrics tcp:127.0.0.1:9464] [--replicas 1] [--quota 0]
 ///             [--no-adaptive] [--version]
 ///
-/// Every flag has an FSI_SERVE_* environment equivalent (the flag wins);
-/// see docs/serving.md and the env-var table in docs/parallelism.md.
-/// --metrics (FSI_SERVE_METRICS) opens an HTTP scrape endpoint answering
-/// GET /metrics in OpenMetrics format and GET /healthz.
+/// The flags are the daemon's whole configuration; docs/serving.md lists
+/// them.  A negative integer flag, or a value the Server rejects (a zero
+/// --queue, --max-batch or --replicas), logs serve.fatal and exits 1.
+/// --metrics opens an HTTP scrape endpoint answering GET /metrics in
+/// OpenMetrics format and GET /healthz.
 ///
 /// --replicas N runs N Server instances in this process sharing one TCP
 /// port via SO_REUSEPORT (requires a tcp: endpoint when N > 1): the kernel
@@ -39,6 +40,7 @@
 #include "fsi/obs/trace.hpp"
 #include "fsi/serve/metrics_http.hpp"
 #include "fsi/serve/server.hpp"
+#include "fsi/util/check.hpp"
 #include "fsi/util/cli.hpp"
 
 namespace {
@@ -46,6 +48,15 @@ namespace {
 volatile std::sig_atomic_t g_stop_requested = 0;
 
 void handle_signal(int) { g_stop_requested = 1; }
+
+/// Integer flag --name (\p fallback when absent), rejected when negative
+/// so that no caller casts a negative value to an unsigned option.
+int non_negative_flag(const fsi::util::Cli& cli, const std::string& name,
+                      long long fallback) {
+  const int v = cli.get_int(name, static_cast<int>(fallback));
+  FSI_CHECK(v >= 0, "--" + name + " must be >= 0, got " + std::to_string(v));
+  return v;
+}
 
 }  // namespace
 
@@ -57,58 +68,46 @@ int main(int argc, char** argv) {
     return 0;
   }
   obs::flight::install_crash_handlers();
-
-  serve::ServerOptions options = serve::ServerOptions::from_env();
-  const std::string socket_spec =
-      cli.get_string("socket", options.endpoint.describe());
-  options.endpoint = serve::Endpoint::parse(socket_spec);
-  options.queue_depth = static_cast<std::size_t>(
-      cli.get_int("queue", static_cast<int>(options.queue_depth)));
-  options.batch_window_us =
-      cli.get_int("window-us", static_cast<int>(options.batch_window_us));
-  options.max_batch = static_cast<std::size_t>(
-      cli.get_int("max-batch", static_cast<int>(options.max_batch)));
-  options.retry_after_ms = static_cast<std::uint32_t>(
-      cli.get_int("retry-after-ms", static_cast<int>(options.retry_after_ms)));
-  options.default_deadline_ms = cli.get_int(
-      "deadline-ms", static_cast<int>(options.default_deadline_ms));
-  options.batch.num_workers =
-      cli.get_int("workers", options.batch.num_workers);
-  options.access_log = cli.get_string("log", options.access_log);
-  options.metrics_endpoint =
-      cli.get_string("metrics", options.metrics_endpoint);
-  options.replicas = static_cast<std::size_t>(
-      cli.get_int("replicas", static_cast<int>(options.replicas)));
-  options.client_quota = static_cast<std::size_t>(
-      cli.get_int("quota", static_cast<int>(options.client_quota)));
-  if (cli.has("adaptive")) options.adaptive.enabled = true;
-  if (cli.has("no-adaptive")) options.adaptive.enabled = false;
   if (cli.has("trace")) obs::set_enabled(true);
 
-  const std::size_t queue_depth = options.queue_depth;
-  const std::int64_t window_us = options.batch_window_us;
-  const std::size_t max_batch = options.max_batch;
-  const std::string metrics_spec = options.metrics_endpoint;
-  const std::size_t replicas = std::max<std::size_t>(1, options.replicas);
-  options.replicas = replicas;
-  if (replicas > 1) {
-    if (options.endpoint.is_unix) {
-      FSI_LOG_ERROR("serve.fatal",
-                    {"reason", "--replicas > 1 requires a tcp: endpoint"});
-      return 1;
-    }
-    options.reuse_port = true;
-  }
-
-  // Replica 0 binds first (resolving port 0 if asked); the siblings then
-  // bind the *resolved* endpoint so all replicas share one port.
+  serve::ServerOptions options;
   std::vector<std::unique_ptr<serve::Server>> servers;
-  servers.push_back(std::make_unique<serve::Server>(options));
-  serve::Server& server = *servers.front();
   try {
-    server.start();
-    options.endpoint = server.endpoint();
-    for (std::size_t r = 1; r < replicas; ++r) {
+    options.endpoint = serve::Endpoint::parse(
+        cli.get_string("socket", options.endpoint.describe()));
+    options.queue_depth = static_cast<std::size_t>(
+        non_negative_flag(cli, "queue", options.queue_depth));
+    options.batch_window_us =
+        non_negative_flag(cli, "window-us", options.batch_window_us);
+    options.max_batch = static_cast<std::size_t>(
+        non_negative_flag(cli, "max-batch", options.max_batch));
+    options.retry_after_ms = static_cast<std::uint32_t>(
+        non_negative_flag(cli, "retry-after-ms", options.retry_after_ms));
+    options.default_deadline_ms =
+        non_negative_flag(cli, "deadline-ms", options.default_deadline_ms);
+    options.batch.num_workers =
+        non_negative_flag(cli, "workers", options.batch.num_workers);
+    options.access_log = cli.get_string("log", options.access_log);
+    options.metrics_endpoint =
+        cli.get_string("metrics", options.metrics_endpoint);
+    options.replicas = static_cast<std::size_t>(
+        non_negative_flag(cli, "replicas", options.replicas));
+    options.client_quota = static_cast<std::size_t>(
+        non_negative_flag(cli, "quota", options.client_quota));
+    if (cli.has("adaptive")) options.adaptive.enabled = true;
+    if (cli.has("no-adaptive")) options.adaptive.enabled = false;
+    if (options.replicas > 1) {
+      FSI_CHECK(!options.endpoint.is_unix,
+                "--replicas > 1 requires a tcp: endpoint");
+      options.reuse_port = true;
+    }
+
+    // Replica 0 binds first (resolving port 0 if asked); the siblings then
+    // bind the *resolved* endpoint so all replicas share one port.
+    servers.push_back(std::make_unique<serve::Server>(options));
+    servers.front()->start();
+    options.endpoint = servers.front()->endpoint();
+    for (std::size_t r = 1; r < options.replicas; ++r) {
       servers.push_back(std::make_unique<serve::Server>(options));
       servers.back()->start();
     }
@@ -116,12 +115,13 @@ int main(int argc, char** argv) {
     FSI_LOG_ERROR("serve.fatal", {"reason", e.what()});
     return 1;
   }
+  serve::Server& server = *servers.front();
 
   std::unique_ptr<serve::MetricsExporter> metrics_http;
-  if (!metrics_spec.empty()) {
+  if (!options.metrics_endpoint.empty()) {
     try {
       metrics_http = std::make_unique<serve::MetricsExporter>(
-          serve::Endpoint::parse(metrics_spec));
+          serve::Endpoint::parse(options.metrics_endpoint));
       metrics_http->start();
       std::printf("fsi_serve: metrics on http://%s/metrics\n",
                   metrics_http->endpoint().describe().c_str());
@@ -133,8 +133,9 @@ int main(int argc, char** argv) {
   }
   std::printf("fsi_serve: listening on %s (queue %zu, window %lld us, "
               "max batch %zu, replicas %zu)\n",
-              server.endpoint().describe().c_str(), queue_depth,
-              static_cast<long long>(window_us), max_batch, replicas);
+              server.endpoint().describe().c_str(), options.queue_depth,
+              static_cast<long long>(options.batch_window_us),
+              options.max_batch, options.replicas);
   std::fflush(stdout);
 
   std::signal(SIGINT, handle_signal);

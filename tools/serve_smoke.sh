@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Smoke test of the fsi::serve daemon as CI (and operators) run it: boot
-# fsi_serve on a Unix socket, drive it with concurrent fsi_request clients
-# of mixed sizes — every fp64 response verified bit-identical against the
-# in-process qmc::run_fsi_batch reference, every --precision mixed response
-# verified within the health gate's error budget — plus one past-deadline
-# request that must be shed with an explicit DeadlineMiss, scrape the OpenMetrics
+# Smoke test of the fsi::serve daemon as CI (and operators) run it: check
+# that it refuses out-of-range flags (exit 1, the setting named in its
+# serve.fatal log line, no crash dump), boot fsi_serve on a Unix socket,
+# drive it with concurrent fsi_request clients of mixed sizes — every fp64
+# response verified bit-identical against the in-process
+# qmc::run_fsi_batch reference, every --precision mixed response verified
+# within the health gate's error budget — plus one past-deadline request
+# that must be shed with an explicit DeadlineMiss, scrape the OpenMetrics
 # endpoint and validate the exposition grammar, then stop the daemon with
 # SIGTERM and check it exits cleanly and writes its telemetry.
 #
@@ -23,6 +25,31 @@ artifacts=$(mktemp -d)
 server_pid=""
 fleet_pid=""
 trap 'kill "$server_pid" "$fleet_pid" 2>/dev/null || true; rm -rf "$artifacts"' EXIT
+
+# Settings the daemon must refuse before it binds anything.  timeout turns
+# a daemon that wrongly starts serving into exit 124, not 1.
+reject_dir="$artifacts/rejected"
+mkdir -p "$reject_dir"
+expect_refused() {
+  local setting=$1
+  shift
+  local rc=0
+  FSI_CRASH_DIR="$reject_dir" timeout 10 "$build"/tools/fsi_serve \
+      --socket "unix:$reject_dir/never.sock" "$@" > "$reject_dir/out.log" 2>&1 || rc=$?
+  if [ "$rc" -ne 1 ] || ! grep -q "serve.fatal" "$reject_dir/out.log" \
+      || ! grep -qF -e "$setting" "$reject_dir/out.log"; then
+    echo "serve_smoke: fsi_serve $* exited $rc without refusing $setting"
+    cat "$reject_dir/out.log"
+    exit 1
+  fi
+  if compgen -G "$reject_dir/crash-*" > /dev/null; then
+    echo "serve_smoke: fsi_serve $* left a crash dump"
+    exit 1
+  fi
+  echo "serve_smoke: fsi_serve $* refused ($setting)"
+}
+expect_refused queue_depth --queue 0
+expect_refused --max-batch --max-batch -1
 
 # --metrics with TCP port 0: the kernel picks a free port and the daemon
 # prints the resolved endpoint on its "metrics on" line.
